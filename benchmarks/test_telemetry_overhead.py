@@ -1,13 +1,14 @@
-"""Streaming telemetry vs sweep polling: controller-side cost per tick.
+"""Streaming telemetry vs a snapshot sweep: controller-side cost per tick.
 
 A 50-OBI fleet on in-process channels, each tick touching only a small
-subset of instances (K changed out of N). The legacy observability
-sweep costs the controller O(N) every tick — one request plus one full
-snapshot merge per OBI, changed or not. The §13 push path costs the
-controller only the K streams that actually carry changes: quiet OBIs
-send nothing at all.
+subset of instances (K changed out of N). A sweep of the one-shot pull
+API, ``controller.telemetry_snapshot(obi_id)``, costs the controller
+O(N) every tick — a subscribe-with-drain, an ack, and a folded-state
+read per OBI, changed or not. The §13 push path costs the controller
+only the K streams that actually carry changes: quiet OBIs send
+nothing at all.
 
-Controller-side cost per tick: for the poll sweep, the wall time of the
+Controller-side cost per tick: for the sweep, the wall time of the
 sweep itself — the controller issues every request and blocks on every
 round trip, so the whole sweep is controller time regardless of where
 the snapshot is computed; for push, the metered time inside the
@@ -16,8 +17,8 @@ is all the controller ever does.
 The poll/push ratio is machine-independent and is gated against the
 checked-in baseline ``benchmarks/BENCH_telemetry.json`` (fails on a
 >30% regression). Correctness rides along: after the ticks, every
-OBI's folded subscriber state must be byte-identical to a fresh full
-poll of the same registry.
+OBI's folded subscriber state must be byte-identical to a direct read
+of the same registry.
 
 Scale: set ``OPENBOX_BENCH_SCALE=ci`` for the reduced CI run (same
 fleet width — the N/K shape is what matters — fewer ticks).
@@ -35,11 +36,7 @@ from repro.bootstrap import connect_inproc
 from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
-from repro.protocol.messages import (
-    ErrorMessage,
-    ObservabilitySnapshotRequest,
-    SetProcessingGraphRequest,
-)
+from repro.protocol.messages import ErrorMessage, SetProcessingGraphRequest
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_telemetry.json"
 
@@ -127,16 +124,13 @@ def test_push_cost_tracks_change_rate_not_fleet_width():
     num_obis, changed, ticks, packets_per = _scale()
     controller, obis, ctrl_meters = _fleet(num_obis)
 
-    # --- legacy sweep: the controller drives N round trips per tick ---
+    # --- snapshot sweep: the controller drives N drains per tick -----
     poll_cost = 0.0
     for tick in range(ticks):
         _drive_changes(obis, tick, changed, packets_per)
         start = time.perf_counter()
-        for obi_id, handle in controller.obis.items():
-            response = handle.channel.request(
-                ObservabilitySnapshotRequest(include_traces=False)
-            )
-            controller.stats.record_observability(response, controller.clock())
+        for obi_id in controller.obis:
+            controller.telemetry_snapshot(obi_id, include_traces=False)
         poll_cost += time.perf_counter() - start
 
     # --- §13 push: only the K changed OBIs reach the controller -------
@@ -162,7 +156,7 @@ def test_push_cost_tracks_change_rate_not_fleet_width():
     assert streams <= ticks * (changed + 1)
 
     # Correctness: every folded subscriber state byte-identical to a
-    # fresh full poll of the same registry.
+    # direct read of the same registry.
     for obi in obis:
         while obi.publish_telemetry() is not None:
             pass

@@ -12,7 +12,8 @@ instance through its degradation stages:
 3. bucket empty — packets are shed (deterministically: same seed,
    same arrivals, same shed set).
 
-Shedding evidence travels upstream in a ``HealthReport``; the
+Shedding evidence travels upstream on the telemetry stream (the
+``obi_packets_shed_total`` counter and ``obi_degraded`` gauge); the
 controller pins the instance's effective load to 1.0 and the ordinary
 scaling loop — the one that normally watches CPU — provisions a
 replica. Locally graceful, globally elastic (paper §4.2, Fig. 9-10).
@@ -96,6 +97,7 @@ def main() -> None:
     )
     connect_inproc(controller, obi)
     controller.register_application(DpiChainApp("dpi"))
+    controller.subscribe_telemetry("dpi-obi")
 
     steering = TrafficSteering()
     steering.register_chain(
@@ -143,12 +145,13 @@ def main() -> None:
             ReadRequest(block=OBI_PSEUDO_BLOCK, handle=handle)).value
         print(f"  read {OBI_PSEUDO_BLOCK}.{handle} = {value}")
 
-    print("\n== Phase 4: health report drives the scaling loop ==")
+    print("\n== Phase 4: streamed telemetry drives the scaling loop ==")
     print(f"  before: evaluate() -> {scaling.evaluate(now=clock.now)}")
-    obi.send_health_report()
+    obi.publish_telemetry()
     view = controller.stats.view("dpi-obi")
-    print(f"  HealthReport: shed={view.last_health.packets_shed} "
-          f"degraded={view.last_health.degraded} -> "
+    metrics = view.last_observability.metrics
+    print(f"  telemetry: shed={metrics['counters']['obi_packets_shed_total']} "
+          f"degraded={metrics['gauges']['obi_degraded'] == 1} -> "
           f"effective_load={view.effective_load()}")
     actions = scaling.evaluate(now=clock.now)
     replica_id = actions[0].obi_id

@@ -120,13 +120,13 @@ def main() -> None:
                                          dst_ip=SERVER)
     obi.inject_batch(flood)
     table = obi.session.flow_table
-    health = obi.health_report()
+    gauges = obi.observability_snapshot(include_traces=False).metrics["gauges"]
     print(f"  table: {len(table)}/{POLICY.max_entries} entries, "
           f"{table.protected_count} protected (established)")
     print(f"  evictions by reason: {dict(table.eviction_reasons)}")
     print(f"  drops by reason: {dict(table.drop_reasons)}")
-    print(f"  health: pressure={health.state_pressure} "
-          f"degraded={health.degraded}")
+    print(f"  health: pressure={gauges['obi_state_pressure'] == 1} "
+          f"degraded={gauges['obi_degraded'] == 1}")
     print("  established sessions after the flood:")
     for sport in (1001, 1002, 1003):
         send_data(obi, sport)

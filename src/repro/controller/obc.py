@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import collections
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -43,7 +42,6 @@ from repro.protocol.messages import (
     ErrorMessage,
     GlobalStatsRequest,
     GlobalStatsResponse,
-    HealthReport,
     Hello,
     HelloResponse,
     KeepAlive,
@@ -155,8 +153,8 @@ class OpenBoxController:
         #: instance like a dead one.
         self.consecutive_deploy_failures: dict[str, int] = {}
         # Control-plane loop metrics on the process-wide registry (the
-        # controller has no per-OBI registry; per-OBI series arrive via
-        # ObservabilitySnapshot pulls instead).
+        # controller has no per-OBI registry; per-OBI series arrive on
+        # the telemetry stream instead).
         registry = default_registry()
         self._m_deploys = registry.counter("controller_deployments_total")
         self._m_deploy_failures = registry.counter(
@@ -471,12 +469,6 @@ class OpenBoxController:
             return None
         if isinstance(message, Alert):
             self._handle_alert(message)
-            return None
-        if isinstance(message, HealthReport):
-            self.stats.record_health(message, self.clock())
-            handle = self.obis.get(message.obi_id)
-            if handle is not None and message.graph_digest:
-                handle.reported_digest = message.graph_digest
             return None
         if isinstance(message, LogMessage):
             self.logs.append(message)
@@ -949,11 +941,6 @@ class OpenBoxController:
             return response
         return None
 
-    def health(self, obi_id: str) -> HealthReport | None:
-        """Latest data-plane health beacon received from ``obi_id``."""
-        view = self.stats.view(obi_id)
-        return view.last_health if view is not None else None
-
     # ------------------------------------------------------------------
     # Streaming telemetry (PROTOCOL.md §13)
     # ------------------------------------------------------------------
@@ -993,8 +980,8 @@ class OpenBoxController:
         self._m_stream_records.inc(folded)
         snapshot = self.telemetry.snapshot_response(stream.obi_id)
         if snapshot is not None:
-            # Feed the existing per-OBI stats views incrementally —
-            # push replaces the poll sweep without changing consumers.
+            # Feed the per-OBI stats view (liveness, overload evidence)
+            # on every fold — the stream is the only upstream channel.
             self.stats.record_observability(snapshot, self.clock())
         subscription = self._telemetry_subscriptions.get(stream.obi_id, {})
         return TelemetryAck(
@@ -1126,8 +1113,7 @@ class OpenBoxController:
         """One-shot: drain the OBI's telemetry ring, return folded state.
 
         Subscribe-with-drain, ack, and read back the folded per-OBI
-        state shaped exactly like the old pull response — the modern
-        replacement for :meth:`poll_observability`.
+        state in the §9 snapshot shape.
         """
         handle = self._handle_of(obi_id)
         if handle.channel is None:
@@ -1140,47 +1126,6 @@ class OpenBoxController:
         return self.telemetry.snapshot_response(
             obi_id, include_traces=include_traces, max_traces=max_traces
         )
-
-    # ------------------------------------------------------------------
-    # Observability (PROTOCOL.md §9 — deprecated polling wrappers)
-    # ------------------------------------------------------------------
-    def poll_observability(
-        self, obi_id: str, include_traces: bool = True, max_traces: int = 0
-    ) -> ObservabilitySnapshotResponse | None:
-        """Deprecated: one-shot drain over the subscribe API (§13)."""
-        warnings.warn(
-            "poll_observability is deprecated; use telemetry_snapshot() or "
-            "the watch()/subscribe() streaming API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.telemetry_snapshot(
-            obi_id, include_traces=include_traces, max_traces=max_traces
-        )
-
-    def poll_observability_all(
-        self, include_traces: bool = True, max_traces: int = 0
-    ) -> dict[str, ObservabilitySnapshotResponse]:
-        """Deprecated: drain every reachable OBI via the subscribe API."""
-        warnings.warn(
-            "poll_observability_all is deprecated; use telemetry_snapshot() "
-            "per OBI or the watch()/subscribe() streaming API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        snapshots: dict[str, ObservabilitySnapshotResponse] = {}
-        for obi_id, handle in list(self.obis.items()):
-            if handle.channel is None:
-                continue
-            try:
-                response = self.telemetry_snapshot(
-                    obi_id, include_traces=include_traces, max_traces=max_traces
-                )
-            except ChannelClosed:
-                continue
-            if response is not None:
-                snapshots[obi_id] = response
-        return snapshots
 
     def attribute_trace(
         self, obi_id: str, trace: dict[str, Any]

@@ -8,8 +8,8 @@ underutilized instances and take some of them down" (paper §3.3).
 :class:`ObiStatsTracker` records keepalives and the latest GlobalStats
 per OBI; the scaling manager consumes its view, and the orchestrator's
 failover stage consumes :meth:`ObiStatsTracker.dead_obis` — liveness is
-evidenced by *any* message from the OBI (keepalive or a stats
-response), so a silent-but-polled instance is not declared dead while
+evidenced by *any* message from the OBI (keepalive, a stats response,
+or a telemetry stream), so a silent-but-polled instance is not declared dead while
 one that answers nothing for ``liveness_timeout`` is.
 """
 
@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.observability.metrics import merge_snapshots
 from repro.protocol.messages import (
     GlobalStatsResponse,
-    HealthReport,
     ObservabilitySnapshotResponse,
 )
 
@@ -37,39 +36,21 @@ class ObiLoadView:
     obi_id: str
     last_keepalive: float = 0.0
     #: Last time *any* evidence of liveness arrived (keepalive, stats,
-    #: or a health report).
+    #: or a telemetry stream).
     last_heard: float = 0.0
     keepalives: int = 0
     last_stats: GlobalStatsResponse | None = None
     stats_history: list[tuple[float, float]] = field(default_factory=list)
-    #: Latest data-plane health beacon (quarantine/shed/suppression
-    #: counters, PROTOCOL.md §7).
-    last_health: HealthReport | None = None
     #: True while the OBI reports overload evidence: running degraded or
-    #: actively shedding packets since the previous health report.
+    #: actively shedding packets since the previous telemetry fold.
     overloaded: bool = False
-    #: Latest pulled observability snapshot (PROTOCOL.md §9): the OBI's
-    #: metrics registry plus its recent sampled packet traces.
+    #: Latest folded telemetry state (PROTOCOL.md §13, in the §9 shape):
+    #: the OBI's metrics registry plus its recent sampled packet traces.
     last_observability: ObservabilitySnapshotResponse | None = None
 
     @property
     def cpu_load(self) -> float:
         return self.last_stats.cpu_load if self.last_stats is not None else 0.0
-
-    @property
-    def quarantined_blocks(self) -> list[str]:
-        return list(self.last_health.quarantined_blocks) if self.last_health else []
-
-    @property
-    def fastpath_hit_rate(self) -> float:
-        """Flow-cache hit rate the OBI last reported.
-
-        Informational for scaling decisions: the OBI already discounts
-        fast-path hits in the cpu_load it reports (a cache hit skips
-        the classifier work), so the smoothed-load samples account for
-        the cache; this exposes *why* a busy OBI reports low load.
-        """
-        return self.last_health.fastpath_hit_rate if self.last_health else 0.0
 
     def add_sample(self, now: float, load: float, limit: int) -> None:
         """Append a load sample, enforcing ``limit`` on every append."""
@@ -152,27 +133,26 @@ class ObiStatsTracker:
         view.last_heard = max(view.last_heard, now)
         view.add_sample(now, stats.cpu_load, self.history_limit)
 
-    def record_health(self, report: HealthReport, now: float) -> None:
-        """Fold a data-plane health beacon into the OBI's view.
-
-        Overload evidence is shedding *progress* (packets_shed grew since
-        the previous report) or currently-degraded mode; a historical
-        shed counter alone does not keep an OBI marked overloaded
-        forever.
-        """
-        view = self.register(report.obi_id, now)
-        previous = view.last_health
-        shed_before = previous.packets_shed if previous is not None else 0
-        view.overloaded = report.degraded or report.packets_shed > shed_before
-        view.last_health = report
-        view.last_heard = max(view.last_heard, now)
-
     def record_observability(
         self, snapshot: ObservabilitySnapshotResponse, now: float
     ) -> None:
-        """Retain an OBI's pulled observability snapshot (liveness too —
-        an instance answering a snapshot pull is plainly alive)."""
+        """Fold an OBI's telemetry state into its view (liveness too —
+        an instance streaming telemetry is plainly alive).
+
+        Overload evidence is shedding *progress* (``obi_packets_shed_total``
+        grew since the previous fold) or currently-degraded mode (the
+        ``obi_degraded`` gauge); a historical shed counter alone does not
+        keep an OBI marked overloaded forever.
+        """
         view = self.register(snapshot.obi_id, now)
+        previous = view.last_observability
+        shed = snapshot.metrics["counters"].get("obi_packets_shed_total", 0)
+        shed_before = (
+            previous.metrics["counters"].get("obi_packets_shed_total", 0)
+            if previous is not None else 0
+        )
+        degraded = snapshot.metrics["gauges"].get("obi_degraded", 0)
+        view.overloaded = degraded == 1 or shed > shed_before
         view.last_observability = snapshot
         view.last_heard = max(view.last_heard, now)
 

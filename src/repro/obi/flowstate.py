@@ -66,7 +66,7 @@ class FlowStatePolicy:
     #: instead of the full idle timeout.
     pressure_watermark: float = 0.85
     #: Occupancy fraction at which the OBI reports degradation
-    #: (feeds ``EngineRobustness.state_pressure`` → HealthReport).
+    #: (feeds ``EngineRobustness.state_pressure`` → ``obi_degraded``).
     degradation_watermark: float = 0.95
     #: Idle seconds after which an unprotected entry may be reclaimed
     #: under pressure (embryonic handshakes age out fast in a flood).
@@ -352,7 +352,7 @@ class FlowStateTable(FlowTable):
     ``/prefix_bits`` source aggregate may hold, so a spoofed flood from
     few networks starves itself, not the table. All reclamation and
     refusal is counted by reason (``eviction_reasons``/``drop_reasons``)
-    for the ``_obi`` handles and HealthReport.
+    for the ``_obi`` handles and the telemetry gauges.
     """
 
     def __init__(

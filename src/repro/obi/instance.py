@@ -66,7 +66,6 @@ from repro.protocol.messages import (
     PacketHistoryResponse,
     GlobalStatsRequest,
     GlobalStatsResponse,
-    HealthReport,
     Hello,
     HelloResponse,
     KeepAlive,
@@ -74,7 +73,6 @@ from repro.protocol.messages import (
     ListCapabilitiesRequest,
     ListCapabilitiesResponse,
     Message,
-    ObservabilitySnapshotRequest,
     ObservabilitySnapshotResponse,
     ReadRequest,
     ReadResponse,
@@ -151,8 +149,8 @@ class ObiConfig:
     #: upstream events; see ``repro.obi.headless``). 0 disables the
     #: automatic transition entirely.
     headless_after: float = 30.0
-    #: Ring-buffer capacity for alerts/health reports produced while
-    #: headless; overflow evicts the oldest entry and is counted.
+    #: Ring-buffer capacity for alerts produced while headless;
+    #: overflow evicts the oldest entry and is counted.
     headless_buffer: int = 256
     #: Ordered controller endpoints for re-homing (PROTOCOL.md §12):
     #: tried first-to-last after losing the leader. Refreshed in place
@@ -480,14 +478,8 @@ class OpenBoxInstance:
         if self._headless:
             self._exit_headless()
 
-    def _buffer_upstream(self, message: Message) -> None:
-        fit = self.headless_buffer.push(message)
-        self._m_headless_buffered.inc()
-        if not fit:
-            self._m_headless_dropped.inc()
-
     def _exit_headless(self) -> None:
-        """Replay buffered events upstream, oldest first.
+        """Replay buffered alerts upstream, oldest first.
 
         If the channel dies mid-replay the un-replayed suffix goes back
         to the front of the buffer and the OBI stays headless — replay
@@ -503,9 +495,8 @@ class OpenBoxInstance:
                 self.headless_buffer.requeue_front(entries[index:])
                 self.headless_buffer.dropped += dropped
                 return
-            if isinstance(entry, Alert):
-                self.alerts_sent += 1
-                self._m_alerts_sent.inc()
+            self.alerts_sent += 1
+            self._m_alerts_sent.inc()
         self._headless = False
         if dropped:
             # The controller must learn the loss, not just the survivors.
@@ -529,7 +520,7 @@ class OpenBoxInstance:
     # Packet processing
     # ------------------------------------------------------------------
     def process_packet(self, packet: Packet) -> PacketOutcome:
-        """Run one packet through the deployed graph.
+        """Run one packet through the deployed graph: a one-packet batch.
 
         Ingress first passes the admission gate (when overload control is
         configured): a shed packet never reaches the engine and comes
@@ -537,54 +528,10 @@ class OpenBoxInstance:
         contained element faults are coalesced, rate limited, and
         forwarded upstream on the controller channel (paper §3.4).
         """
-        self.packets_offered += 1
-        self._m_offered.inc()
-        # Flow-state exhaustion degrades the OBI through the same path
-        # as ingress overload (ORed inside EngineRobustness.degraded).
-        self.robustness.state_pressure = self.session.under_degradation
-        if self._admission is not None:
-            verdict = self._admission.admit(packet)
-            # The gate drives degraded mode: below the watermark the
-            # engine starts bypassing blocks marked ``degradable``.
-            self.robustness.degraded = self._admission.degraded
-            if not verdict.admitted:
-                self._m_shed.inc()
-                outcome = PacketOutcome(dropped=True, shed=True)
-                with self._lock:
-                    if self.history.maxlen:
-                        self.history.append({
-                            "packet": self._safe_summary(packet),
-                            "path": [],
-                            "dropped": True,
-                            "shed": verdict.reason or "exhausted",
-                            "outputs": [],
-                            "alerts": [],
-                            "at": self.clock(),
-                        })
-                return outcome
-        with self._lock:
-            if self.engine is None:
-                raise ProtocolError(
-                    ErrorCode.INVALID_GRAPH, "no processing graph deployed"
-                )
-            outcome = self.engine.process(packet)
-            self.packets_processed += 1
-            self.bytes_processed += len(packet)
-            if self.history.maxlen:
-                self.history.append({
-                    "packet": self._safe_summary(packet),
-                    "path": list(outcome.path),
-                    "dropped": outcome.dropped,
-                    "outputs": [device for device, _pkt in outcome.outputs],
-                    "alerts": [event.message for event in outcome.alerts],
-                    "at": self.clock(),
-                })
-        self._forward_alerts(outcome)
-        return outcome
+        return self.inject_batch([packet])[0]
 
-    def inject(self, packet: Packet) -> PacketOutcome:
-        """Ingress entry point — admission gate, then the engine."""
-        return self.process_packet(packet)
+    #: Ingress entry point — admission gate, then the engine.
+    inject = process_packet
 
     def inject_batch(self, packets: list[Packet]) -> list[PacketOutcome]:
         """Vectorized ingress: per-packet semantics, amortized bookkeeping.
@@ -653,9 +600,6 @@ class OpenBoxInstance:
         except Exception:  # noqa: BLE001 — the frame itself may be hostile
             return f"unparseable frame len={len(packet.data)}"
 
-    def _forward_alerts(self, outcome: PacketOutcome) -> None:
-        self._forward_alert_events(self._alert_events(outcome))
-
     @staticmethod
     def _alert_events(outcome: PacketOutcome) -> list[AlertEvent]:
         """One outcome's upstream-bound events: alerts + contained faults."""
@@ -706,7 +650,9 @@ class OpenBoxInstance:
         # subscribers see the alert even when the notify channel drops it.
         self.telemetry.note_alert(alert)
         if self.is_headless():
-            self._buffer_upstream(alert)
+            self._m_headless_buffered.inc()
+            if not self.headless_buffer.push(alert):
+                self._m_headless_dropped.inc()
             return
         self._channel.notify(alert)
         self.alerts_sent += 1
@@ -728,55 +674,9 @@ class OpenBoxInstance:
                 count=count,
             ))
 
-    # ------------------------------------------------------------------
-    # Health reporting
-    # ------------------------------------------------------------------
     @property
     def packets_shed(self) -> int:
         return self._admission.packets_shed if self._admission is not None else 0
-
-    def health_report(self) -> HealthReport:
-        """Snapshot of the robustness counters for the controller."""
-        return HealthReport(
-            obi_id=self.config.obi_id,
-            quarantined_blocks=self.robustness.quarantined_blocks(),
-            errors_total=self.robustness.errors_total,
-            packets_shed=self.packets_shed,
-            alerts_sent=self.alerts_sent,
-            alerts_suppressed=self._alert_batcher.suppressed_total,
-            degraded=self.robustness.degraded,
-            graph_version=self.graph_version,
-            fastpath_hit_rate=(
-                self.flow_cache.hit_rate if self.flow_cache is not None else 0.0
-            ),
-            headless=self.is_headless(),
-            headless_dropped=self.headless_buffer.dropped_total,
-            headless_entries=len(self.headless_buffer),
-            graph_digest=self.graph_digest,
-            state_entries=self.session.flow_count(),
-            state_protected=self.session.flow_table.protected_count,
-            state_evictions=self.session.flow_table.evictions,
-            state_drops=self.session.flow_table.drops,
-            state_pressure=self.session.under_degradation,
-            state_generation=self.session.state_generation,
-        )
-
-    def send_health_report(self) -> None:
-        """Flush suppression summaries, then beacon the health counters.
-
-        While headless the beacon is buffered, not delivered: health
-        reports are the inputs to the controller's scaling loop, and a
-        half-connected OBI must not feed it (the report is replayed on
-        reconnect instead).
-        """
-        self.flush_alerts()
-        if self._channel is None:
-            return
-        report = self.health_report()
-        if self.is_headless():
-            self._buffer_upstream(report)
-        else:
-            self._channel.notify(report)
 
     # ------------------------------------------------------------------
     # Downstream message handling
@@ -869,8 +769,6 @@ class OpenBoxInstance:
             return self._lease_announce(message)
         if isinstance(message, BarrierRequest):
             return BarrierResponse(xid=message.xid)
-        if isinstance(message, ObservabilitySnapshotRequest):
-            return self._observability(message)
         if isinstance(message, PacketHistoryRequest):
             with self._lock:
                 records = list(self.history)
@@ -1028,8 +926,8 @@ class OpenBoxInstance:
 
         Snapshot-time-only series (flow-cache counters, quarantine and
         degradation levels, sampling totals) are mirrored into gauges
-        here rather than maintained on the hot path — pull telemetry
-        should cost the data plane nothing between pulls.
+        here rather than maintained on the hot path — telemetry should
+        cost the data plane nothing between reads.
         """
         with self._lock:
             snapshot = self._export_registry_locked()
@@ -1058,8 +956,8 @@ class OpenBoxInstance:
         swap) would double-apply the same delta and inflate the shared
         registry. Every exporting path therefore runs under the engine
         lock, and the snapshot is taken in the *same* critical section —
-        so the absolute values any consumer (pull response or telemetry
-        ring record) observes are mutually consistent and monotonic.
+        so the absolute values any consumer (a local snapshot or a
+        telemetry ring record) observes are mutually consistent and monotonic.
         """
         with self._lock:
             if self.engine is not None:
@@ -1092,18 +990,11 @@ class OpenBoxInstance:
                 gauges.gauge("trace_packets_sampled").set(tracer.sampled)
             return self.metrics.snapshot()
 
-    def _observability(self, message: ObservabilitySnapshotRequest) -> Message:
-        response = self.observability_snapshot(
-            include_traces=message.include_traces, max_traces=message.max_traces
-        )
-        response.xid = message.xid
-        return response
-
     # ------------------------------------------------------------------
     # Streaming telemetry (PROTOCOL.md §13)
     # ------------------------------------------------------------------
     def _telemetry_meta(self) -> dict[str, Any]:
-        """Context riding metric records (the pull response's envelope)."""
+        """Context riding metric records (the §9 snapshot's envelope)."""
         tracer = self.tracer
         return {
             "graph_version": self.graph_version,

@@ -378,74 +378,14 @@ class Alert(Message):
     count: int = 1
 
 
-@register_message
-@dataclass
-class HealthReport(Message):
-    """OBI → OBC: periodic data-plane health beacon (PROTOCOL.md §7).
-
-    Carries the robustness counters of the armored data plane:
-    quarantined blocks, contained element errors, packets shed by the
-    admission gate, alert-suppression totals, and whether the OBI is
-    currently running degraded (bypassing ``degradable`` blocks). The
-    controller feeds these into its health view and scaling decisions.
-    """
-
-    TYPE: ClassVar[str] = "HealthReport"
-
-    obi_id: str = ""
-    quarantined_blocks: list[str] = field(default_factory=list)
-    errors_total: int = 0
-    packets_shed: int = 0
-    alerts_sent: int = 0
-    alerts_suppressed: int = 0
-    degraded: bool = False
-    graph_version: int = 0
-    #: Fraction of keyable packets served from the flow-decision cache
-    #: since startup; feeds the controller's load estimates.
-    fastpath_hit_rate: float = 0.0
-    #: Headless-mode accounting (PROTOCOL.md §10): whether the OBI is
-    #: currently running without a reachable controller, how many
-    #: upstream messages its ring buffer dropped (oldest-first) since
-    #: startup, and how many times it entered headless mode.
-    headless: bool = False
-    headless_dropped: int = 0
-    headless_entries: int = 0
-    #: Canonical digest of the running graph (anti-entropy input).
-    graph_digest: str = ""
-    #: Flow-state table accounting (PROTOCOL.md §11): live entries,
-    #: protected (established) entries, evictions and refused inserts
-    #: since startup, whether occupancy crossed the degradation
-    #: watermark, and the state generation (bumped per restore).
-    state_entries: int = 0
-    state_protected: int = 0
-    state_evictions: int = 0
-    state_drops: int = 0
-    state_pressure: bool = False
-    state_generation: int = 0
-
-
-@register_message
-@dataclass
-class ObservabilitySnapshotRequest(Message):
-    """OBC → OBI: pull the instance's metrics and recent traces (§9).
-
-    Read-only and side-effect free, so it rides the normal idempotent
-    retry machinery with no special casing.
-    """
-
-    TYPE: ClassVar[str] = "ObservabilitySnapshotRequest"
-
-    #: Include the sampled trace ring in the response (metrics are
-    #: always included — they are cheap; traces can be large).
-    include_traces: bool = True
-    #: Return at most this many most-recent traces (0 = all retained).
-    max_traces: int = 0
-
-
-@register_message
 @dataclass
 class ObservabilitySnapshotResponse(Message):
-    """OBI → OBC: one instance's observability state (PROTOCOL.md §9).
+    """One instance's observability state (PROTOCOL.md §9).
+
+    Not a wire message: the §13 telemetry stream is the only upstream
+    channel. This is the shape its two local producers return — the
+    controller-side fold (``TelemetryBus.snapshot_response``) and the
+    OBI's own registry read (``OpenBoxInstance.observability_snapshot``).
 
     ``metrics`` is the registry snapshot shape of
     :meth:`repro.observability.metrics.MetricsRegistry.snapshot`;
@@ -746,7 +686,7 @@ class TelemetrySubscribe(Message):
     #: Max records per TelemetryStream batch (backpressure credit).
     window: int = 64
     #: One-shot drain: ignore ``window`` and return everything pending
-    #: (the poll_observability compatibility wrapper uses this).
+    #: (``telemetry_snapshot`` uses this).
     drain: bool = False
     controller_generation: int = 0
 

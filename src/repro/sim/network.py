@@ -217,12 +217,12 @@ class SimNetwork:
     # Observability
     # ------------------------------------------------------------------
     def observability(self, max_traces: int = 0) -> dict[str, object]:
-        """Pull an observability snapshot from every OBI node.
+        """Read an observability snapshot from every OBI node.
 
         Returns node name -> serialized
         :class:`~repro.protocol.messages.ObservabilitySnapshotResponse`,
-        the same shape the controller aggregates over the wire — handy
-        for inspecting a simulation without standing up a control plane.
+        the same shape the controller folds from telemetry — handy for
+        inspecting a simulation without standing up a control plane.
         """
         snapshots: dict[str, object] = {}
         for name, node in self.nodes.items():

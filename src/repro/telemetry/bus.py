@@ -254,10 +254,9 @@ class TelemetryBus:
         include_traces: bool = True,
         max_traces: int = 0,
     ) -> ObservabilitySnapshotResponse | None:
-        """Folded state re-shaped as a pull-path snapshot response.
+        """Folded state in the §9 snapshot shape.
 
-        This is what lets ``ObiStatsTracker`` and every downstream
-        consumer of the polling API run unchanged on pushed telemetry.
+        ``ObiStatsTracker`` and ``telemetry_snapshot()`` read it.
         """
         with self._lock:
             state = self._states.get(obi_id)

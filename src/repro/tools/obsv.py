@@ -9,8 +9,8 @@ Usage::
 
 ``dump`` stands up a miniature control plane (controller + one OBI over
 the in-process channel, merged firewall+IPS), drives synthetic traffic
-through the data plane, pulls an :class:`ObservabilitySnapshotResponse`
-through the protocol, and writes it as JSON — a self-contained way to
+through the data plane, drains an :class:`ObservabilitySnapshotResponse`
+over the telemetry stream, and writes it as JSON — a self-contained way to
 see what the telemetry pipeline produces. ``diff`` subtracts two dumped
 snapshots (counter/histogram deltas, gauge from→to). ``trace``
 pretty-prints the sampled per-packet trace trees inside a dump, spans

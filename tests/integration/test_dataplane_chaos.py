@@ -83,11 +83,13 @@ def packet():
 class TestDataPlaneChaosScenario:
     def test_periodic_faults_contained_quarantined_and_reported(self):
         controller, obi, clock = build_world(period=3, threshold=4)
+        controller.subscribe_telemetry("chaos-obi")
+        controller._ack_telemetry("chaos-obi")
         outcomes = []
         for _ in range(60):
             outcomes.append(obi.inject(packet()))
             clock.advance(0.05)
-        obi.send_health_report()
+        assert obi.publish_telemetry().ok
 
         # 1. The OBI kept forwarding: every packet still made it out
         #    (the faulty element's policy is bypass) and none crashed us.
@@ -120,10 +122,12 @@ class TestDataPlaneChaosScenario:
         assert len(critical) == 1
         assert critical[0].block == "flaky"
 
-        # 5. The controller's health view shows the quarantined block.
-        view = controller.stats.view("chaos-obi")
-        assert view.quarantined_blocks == ["flaky"]
-        assert view.last_health.errors_total == 4
+        # 5. The controller's folded telemetry shows the quarantine (the
+        #    critical alert above names the block) and the error count.
+        gauges = controller.stats.view("chaos-obi").last_observability.metrics[
+            "gauges"]
+        assert gauges["obi_quarantined_blocks"] == 1
+        assert gauges["obi_errors_total"] == 4
 
     def test_poison_digests_readable_over_protocol(self):
         controller, obi, clock = build_world(period=2, threshold=3)

@@ -242,9 +242,11 @@ class TestOverloadEndToEnd:
         _report_load(controller, "gated-obi", 0.05)
         assert manager.evaluate(now=clock.t) == []
 
+        controller.subscribe_telemetry("gated-obi")
+        controller._ack_telemetry("gated-obi")
         _drive_burst(obi, clock)
         assert obi.packets_shed > 0
-        obi.send_health_report()
+        assert obi.publish_telemetry().ok
 
         # Shedding evidence pins effective load to 1.0 and overrides the
         # lagging CPU view, so the same loop now provisions a replica.

@@ -7,8 +7,8 @@ Three survival properties of the conntrack subsystem:
   and established connections keep forwarding *without a new
   handshake* (a stray mid-stream packet would otherwise be invalid).
 * **SYN flood** — spoofed-source floods at 10x the state-table cap
-  never evict an established flow; the degradation shows up in
-  HealthReport accounting instead of in broken sessions.
+  never evict an established flow; the degradation shows up in the
+  exported state gauges instead of in broken sessions.
 * **Ghost fencing** — a failover handoff carries the checkpoint's
   state generation; a partitioned ghost's stale state is rejected by
   the survivor, an idempotent retry is not.
@@ -177,17 +177,18 @@ class TestSynFloodDefense:
 
     def test_degradation_is_accounted_not_silent(self, tmp_path):
         obi, _ = self.flooded_world(tmp_path)
-        health = obi.health_report()
-        assert health.state_pressure
-        assert health.degraded
-        assert health.state_entries <= self.POLICY.max_entries
-        assert health.state_protected == 8
-        assert health.state_evictions > 0
+        gauges = obi.observability_snapshot(include_traces=False).metrics[
+            "gauges"]
+        assert gauges["obi_state_pressure"] == 1
+        assert gauges["obi_degraded"] == 1
+        assert gauges["obi_state_entries"] <= self.POLICY.max_entries
+        assert gauges["obi_state_protected"] == 8
+        assert gauges["obi_state_evictions"] > 0
         # The same numbers are served through the _obi pseudo-block.
         assert read_obi(obi, "state_pressure") is True
-        assert read_obi(obi, "state_evictions") == health.state_evictions
+        assert read_obi(obi, "state_evictions") == gauges["obi_state_evictions"]
         reasons = read_obi(obi, "state_eviction_reasons")
-        assert sum(reasons.values()) == health.state_evictions
+        assert sum(reasons.values()) == gauges["obi_state_evictions"]
 
     def test_flood_does_not_reach_the_journal(self, tmp_path):
         obi, established = self.flooded_world(tmp_path)

@@ -209,11 +209,18 @@ class TestInstanceInvalidation:
         assert response.value == 0
 
     def test_health_report_carries_hit_rate(self):
+        controller = OpenBoxController()
         obi = OpenBoxInstance(ObiConfig(obi_id="obi-1"))
+        connect_inproc(controller, obi)
         deploy(obi)
+        controller.subscribe_telemetry("obi-1")
+        controller._ack_telemetry("obi-1")
         for _ in range(4):
             obi.inject(fw_packet())
-        assert obi.health_report().fastpath_hit_rate == 0.75
+        assert obi.publish_telemetry().ok
+        gauges = controller.stats.view("obi-1").last_observability.metrics[
+            "gauges"]
+        assert gauges["fastpath_hit_rate"] == 0.75
 
     def test_load_estimate_discounts_hits(self):
         clock_warm, clock_cold = FakeClock(), FakeClock()

@@ -19,7 +19,6 @@ from repro.protocol.errors import ErrorCode
 from repro.protocol.messages import (
     Alert,
     ErrorMessage,
-    HealthReport,
     ReadRequest,
     SetProcessingGraphRequest,
 )
@@ -47,6 +46,14 @@ def connected(clock, **config_kwargs):
         SetProcessingGraphRequest(graph=build_firewall_graph().to_dict())
     )
     assert not isinstance(response, ErrorMessage)
+    return controller, obi
+
+
+def subscribed(clock, **config_kwargs):
+    """``connected`` plus a live controller telemetry subscription."""
+    controller, obi = connected(clock, **config_kwargs)
+    controller.subscribe_telemetry("o1")
+    controller._ack_telemetry("o1")
     return controller, obi
 
 
@@ -127,20 +134,24 @@ class TestBufferingAndReplay:
 
     def test_health_reports_buffered_while_headless(self):
         clock = FakeClock()
-        controller, obi = connected(clock, headless_after=30.0)
+        controller, obi = subscribed(clock, headless_after=30.0)
+        folded = controller.telemetry.last_seq("o1")
         clock.advance(31.0)
-        obi.send_health_report()
-        assert len(obi.headless_buffer) == 1
-        assert controller.stats.view("o1").last_health is None
+        obi.process_packet(pass_packet())
+        # The stream is held back, not delivered: a half-connected OBI
+        # must not feed the controller's scaling loop.
+        assert obi.publish_telemetry() is None
+        assert controller.telemetry.last_seq("o1") == folded
+        assert obi.telemetry.ring.pending("controller") > 0
 
     def test_replay_on_reconnect_in_order(self):
         clock = FakeClock()
-        controller, obi = connected(clock, headless_after=30.0)
+        controller, obi = subscribed(clock, headless_after=30.0)
         before_alerts = len(controller.alerts)
         clock.advance(31.0)
         obi.process_packet(alert_packet())
         clock.advance(5.0)
-        obi.send_health_report()
+        assert obi.publish_telemetry() is None
         sent_before = obi.alerts_sent
 
         obi.reconnect()
@@ -148,7 +159,11 @@ class TestBufferingAndReplay:
         assert not obi.is_headless()
         assert len(obi.headless_buffer) == 0
         assert len(controller.alerts) == before_alerts + 1
-        assert controller.stats.view("o1").last_health is not None
+        # The held-back telemetry is delivered once contact is back.
+        assert obi.publish_telemetry().ok
+        view = controller.stats.view("o1")
+        assert (view.last_observability.metrics["counters"]
+                ["engine_packets_total"] == 1)
         # Replayed alerts count toward the sent counter.
         assert obi.alerts_sent == sent_before + 1
 
@@ -211,8 +226,8 @@ class TestBufferingAndReplay:
         clock = FakeClock()
         _, obi = connected(clock, headless_after=30.0, headless_buffer=1)
         clock.advance(31.0)
-        obi.send_health_report()
-        obi.send_health_report()
+        obi.process_packet(alert_packet())
+        obi.process_packet(alert_packet())  # evicts the first alert
 
         def read(handle):
             response = obi.handle_message(

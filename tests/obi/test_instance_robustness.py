@@ -238,53 +238,84 @@ class TestAlertSuppression:
         assert "quarantined" in critical[0].message
 
 
+def subscribed(config: ObiConfig, clock=None):
+    """A connected OBI whose controller holds a telemetry subscription."""
+    controller, obi = connected(config, clock=clock)
+    controller.subscribe_telemetry(config.obi_id)
+    controller._ack_telemetry(config.obi_id)
+    return controller, obi
+
+
 class TestHealthReporting:
+    """Health travels upstream on the telemetry stream (PROTOCOL.md §13)."""
+
     def test_health_report_reaches_controller_view(self):
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
             admission_rate=1.0, admission_burst=2.0))
-        controller, obi = connected(config, clock=clock)
+        controller, obi = subscribed(config, clock=clock)
         for _ in range(10):
             obi.inject(pass_packet())
-        obi.send_health_report()
+        assert obi.publish_telemetry().ok
         view = controller.stats.view("o1")
-        assert view.last_health is not None
-        assert view.last_health.packets_shed > 0
+        assert view.last_observability is not None
+        assert view.last_observability.obi_id == "o1"
+        counters = view.last_observability.metrics["counters"]
+        assert counters["obi_packets_shed_total"] > 0
         assert view.overloaded
         assert view.effective_load() == 1.0
-        assert controller.health("o1").obi_id == "o1"
 
     def test_overload_clears_without_fresh_evidence(self):
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
             admission_rate=1000.0, admission_burst=64.0))
-        controller, obi = connected(config, clock=clock)
+        controller, obi = subscribed(config, clock=clock)
         for _ in range(10):
             obi.inject(pass_packet())
-        obi.send_health_report()
+        obi.publish_telemetry()
         assert not controller.stats.view("o1").overloaded
-        # Saturate, report, then recover and report again. The 1000 s
-        # clock jump below would trip headless mode (which buffers the
-        # health report instead of delivering it) — disable it; this
-        # test is about overload hysteresis, not controller absence.
+        # Saturate, publish, then recover and publish again. The 1000 s
+        # clock jump below would trip headless mode (which holds the
+        # stream back instead of delivering it) — disable it; this test
+        # is about overload hysteresis, not controller absence.
         config2 = ObiConfig(obi_id="o2", headless_after=0.0,
                             overload=OverloadPolicy(
                                 admission_rate=1.0, admission_burst=2.0))
-        controller2, obi2 = connected(config2, clock=clock)
+        controller2, obi2 = subscribed(config2, clock=clock)
         for _ in range(10):
             obi2.inject(pass_packet())
-        obi2.send_health_report()
+        obi2.publish_telemetry()
         assert controller2.stats.view("o2").overloaded
         clock.advance(1000.0)
         obi2.inject(pass_packet())  # bucket refilled: admitted, healthy
-        obi2.send_health_report()
+        assert obi2.publish_telemetry().ok
         assert not controller2.stats.view("o2").overloaded
+
+    def test_shed_progress_alone_is_overload_evidence(self):
+        # A zero watermark never flags degraded once a packet is admitted
+        # again, so only the shed-counter rule can mark this OBI.
+        clock = FakeClock()
+        config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
+            admission_rate=1.0, admission_burst=2.0, overload_watermark=0.0))
+        controller, obi = subscribed(config, clock=clock)
+        for _ in range(10):
+            obi.inject(pass_packet())
+        clock.advance(10.0)
+        assert not obi.inject(pass_packet()).shed
+        assert obi.publish_telemetry().ok
+        view = controller.stats.view("o1")
+        assert view.last_observability.metrics["gauges"]["obi_degraded"] == 0
+        assert view.overloaded
+        obi.inject(pass_packet())
+        assert obi.publish_telemetry().ok
+        assert not view.overloaded
 
     def test_health_report_is_liveness_evidence(self):
         clock = FakeClock()
-        controller, obi = connected(ObiConfig(obi_id="o1"), clock=clock)
+        controller, obi = subscribed(ObiConfig(obi_id="o1"), clock=clock)
+        obi.inject(pass_packet())
         now = controller.clock()
-        obi.send_health_report()
+        assert obi.publish_telemetry().ok
         view = controller.stats.view("o1")
         assert view.last_heard >= now
 

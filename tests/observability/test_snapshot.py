@@ -1,8 +1,7 @@
 """Observability snapshot round-trips: inproc AND REST.
 
-The §9 response shape, obtained through the §13 one-shot drain
-(``telemetry_snapshot``); the deprecated polling wrappers are covered
-in tests/telemetry/test_push_pipeline.py.
+The §9 snapshot shape, obtained through the §13 one-shot drain
+(``telemetry_snapshot``) — the only upstream channel.
 """
 
 import pytest
@@ -16,10 +15,7 @@ from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
-from repro.protocol.messages import (
-    ObservabilitySnapshotRequest,
-    ObservabilitySnapshotResponse,
-)
+from repro.protocol.messages import ObservabilitySnapshotResponse
 from tests.conftest import build_firewall_graph
 
 
@@ -72,16 +68,6 @@ class TestInprocRoundTrip:
         snapshot = controller.telemetry_snapshot("obi-1", include_traces=False)
         assert snapshot.traces == []
         assert snapshot.metrics["counters"]["engine_packets_total"] == 5
-
-    def test_snapshot_request_is_idempotent_on_retry(self, plane):
-        """A retransmitted pull replays the cached response (xid dedup)."""
-        _controller, obi = plane
-        _drive(obi)
-        request = ObservabilitySnapshotRequest(max_traces=1)
-        first = obi.handle_message(request)
-        _drive(obi)  # state moves on...
-        replayed = obi.handle_message(request)  # ...but the retry must not
-        assert replayed.to_dict() == first.to_dict()
 
     def test_poll_all_and_fleet_aggregation(self):
         controller = OpenBoxController()

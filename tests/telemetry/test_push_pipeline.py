@@ -3,14 +3,12 @@
 Controller and OBI wired over the in-process channel: subscribe,
 push, fold, ack. The invariants under test are the ones the design
 leans on — at-least-once delivery whose replays dedupe by cursor,
-counted (never silent) loss, a folded state byte-identical to a full
-poll of the same registry, window backpressure, NACK-driven rewind,
+counted (never silent) loss, a folded state byte-identical to a direct
+read of the same registry, window backpressure, NACK-driven rewind,
 and generation fencing on both sides of the stream.
 """
 
 import json
-
-import pytest
 
 from repro.bootstrap import connect_inproc, reconnect_inproc, rehome_inproc
 from repro.controller.obc import OpenBoxController
@@ -54,7 +52,7 @@ def metrics_json(metrics):
 
 
 def assert_push_equals_pull(controller, obi, obi_id="o1"):
-    """Folded metric totals must be byte-identical to a fresh poll.
+    """Folded metric totals must be byte-identical to a direct read.
 
     One flush publish first: the subscribe/ack round trips themselves
     land in the OBI's dispatch histogram *after* their collect ran, so
@@ -264,7 +262,7 @@ class TestNackRewind:
         assert controller.telemetry.state("o1")["metrics"]["counters"] == {}
 
         # ...and the replayed interval rebuilds it, byte-identical to a
-        # poll (modulo the packet processed after the rewind request).
+        # direct read (modulo the packet processed after the rewind request).
         assert obi.publish_telemetry().ok
         assert_push_equals_pull(controller, obi)
         rebuilt = controller.telemetry.state("o1")["metrics"]
@@ -333,22 +331,3 @@ class TestNorthboundWatch:
         assert obi.publish_telemetry().ok
         assert [e["topic"] for e in seen] == ["alerts"]
         unsubscribe()
-
-
-class TestPollWrappers:
-    def test_poll_observability_warns_and_matches_pull(self):
-        controller, obi, _, _ = connected()
-        obi.process_packet(pass_packet())
-        # Pull first: the poll's own subscribe/ack dispatches land in
-        # the registry only after the drain's collect has run.
-        pulled = obi.observability_snapshot(include_traces=False)
-        with pytest.warns(DeprecationWarning, match="telemetry_snapshot"):
-            response = controller.poll_observability("o1")
-        assert metrics_json(response.metrics) == metrics_json(pulled.metrics)
-
-    def test_poll_all_drains_every_reachable_obi(self):
-        controller, obi, _, _ = connected()
-        with pytest.warns(DeprecationWarning):
-            snapshots = controller.poll_observability_all()
-        assert set(snapshots) == {"o1"}
-        assert snapshots["o1"].metrics["counters"]

@@ -10,12 +10,50 @@ and fails when a fault-injecting module is missing the marker.
 from __future__ import annotations
 
 import ast
+import pathlib
 
 import pytest
 
-from repro.tools.testselect import REPO_ROOT, _collect_markers
+INTEGRATION_DIR = pathlib.Path(__file__).resolve().parents[1] / "integration"
 
-INTEGRATION_DIR = REPO_ROOT / "tests" / "integration"
+
+def _collect_markers(tree: ast.Module) -> frozenset[str]:
+    """Pytest marker names applied in a module: ``pytestmark``
+    assignments plus ``@pytest.mark.X`` decorators."""
+
+    def _marker_name(node: ast.AST) -> str | None:
+        # pytest.mark.chaos or pytest.mark.chaos(...)
+        if isinstance(node, ast.Call):
+            node = node.func
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "mark"
+        ):
+            return node.attr
+        return None
+
+    markers: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "pytestmark"
+            for target in node.targets
+        ):
+            values = (
+                node.value.elts
+                if isinstance(node.value, (ast.List, ast.Tuple))
+                else [node.value]
+            )
+            for value in values:
+                name = _marker_name(value)
+                if name:
+                    markers.add(name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                name = _marker_name(decorator)
+                if name:
+                    markers.add(name)
+    return frozenset(markers)
 
 
 def _integration_modules():
