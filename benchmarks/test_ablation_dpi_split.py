@@ -1,9 +1,9 @@
 """Ablations — DPI engine choice and the Figure 6 hardware split.
 
-1. **Aho-Corasick vs per-pattern scan**: real wall-clock payload scan
-   rates as the pattern count grows — the reason a single multi-pattern
-   automaton backs the RegexClassifier (DPI-as-a-service heritage, the
-   paper's [8]).
+1. **RegexRuleSet vs a bare per-pattern scan**: real wall-clock payload
+   scan rates as the pattern count grows. The RegexClassifier's rule set
+   is an ordered list of C-speed substring checks, so it should cost
+   little more than the bare ``needle in payload`` loop it wraps.
 2. **Split processing**: the modelled benefit of offloading the merged
    graph's header classification to a TCAM OBI (Figures 5-6) versus
    running everything in software.
@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import write_result
 from repro.controller.split import split_at_classifier
-from repro.core.classify.regex import AhoCorasick, RegexPattern, RegexRuleSet
+from repro.core.classify.regex import RegexPattern, RegexRuleSet
 from repro.core.merge import merge_graphs
 from repro.obi.translation import build_engine
 from repro.sim.costmodel import CostModel, VmSpec, measure_engine
@@ -45,31 +45,31 @@ def test_ablation_dpi_engine(benchmark):
         b"GET /index.html HTTP/1.1\r\nHost: www.example.edu\r\n\r\n" + b"x" * 600,
         b"POST /api HTTP/1.1\r\nHost: api.example.edu\r\n\r\n" + b"y" * 300,
     ]
-    lines = [f"{'patterns':>9s} {'aho-corasick MB/s':>18s} {'per-pattern MB/s':>17s} "
-             f"{'speedup':>8s}"]
-    speedups = {}
+    lines = [f"{'patterns':>9s} {'ruleset MB/s':>13s} {'per-pattern MB/s':>17s} "
+             f"{'ratio':>6s}"]
+    ratios = {}
     for count in (10, 50, 200):
         specs = _patterns(count)
         ruleset = RegexRuleSet(specs)
         naive_needles = [spec.pattern.encode() for spec in specs]
 
-        ac_rate = _rate(ruleset.classify, payloads)
+        ruleset_rate = _rate(ruleset.classify, payloads)
         naive_rate = _rate(
             lambda payload: any(needle in payload for needle in naive_needles),
             payloads,
         )
-        speedups[count] = ac_rate / naive_rate
-        lines.append(f"{count:9d} {ac_rate / 1e6:18.1f} {naive_rate / 1e6:17.1f} "
-                     f"{ac_rate / naive_rate:8.1f}x")
+        ratios[count] = ruleset_rate / naive_rate
+        lines.append(f"{count:9d} {ruleset_rate / 1e6:13.1f} {naive_rate / 1e6:17.1f} "
+                     f"{ratios[count]:5.2f}x")
     write_result("ablation_dpi_engine", "\n".join(lines) + "\n")
 
-    # One AC pass is (nearly) pattern-count independent; the naive scan
-    # degrades linearly, so the relative advantage must grow.
-    assert speedups[200] > speedups[10]
-    assert speedups[200] > 2.0
+    # The rule set's bookkeeping (priority order, nocase and regex kinds)
+    # must not cost more than the scan itself at any pattern count.
+    for count, ratio in ratios.items():
+        assert ratio >= 0.5, f"{count} patterns: rule set at {ratio:.2f}x the bare scan"
 
-    automaton = AhoCorasick([spec.pattern.encode() for spec in _patterns(200)])
-    benchmark(lambda: automaton.find_first(payloads[0]))
+    ruleset = RegexRuleSet(_patterns(200))
+    benchmark(ruleset.classify, payloads[0])
 
 
 def test_ablation_hardware_split(benchmark, paper_workload):

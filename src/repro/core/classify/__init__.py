@@ -7,12 +7,14 @@ have several implementations, e.g. a software trie or a hardware TCAM):
 * :class:`~repro.core.classify.header.LinearMatcher` — reference
   implementation, linear scan by priority;
 * :class:`~repro.core.classify.trie.TrieMatcher` — destination-prefix trie
-  front end with priority-ordered refinement;
+  whose per-node rule lists are kept in priority order, so a lookup
+  scans the path and the root list without sorting;
 * :class:`~repro.core.classify.tcam.TcamMatcher` — simulated TCAM
   (parallel mask/value entries with constant modelled lookup latency).
 
-Payload classification uses :class:`~repro.core.classify.regex.AhoCorasick`
-for literal pattern sets, with compiled-``re`` fallback for true regexes.
+Payload classification (:class:`~repro.core.classify.regex.RegexRuleSet`)
+is one priority-ordered list of C-speed checks: ``bytes`` substring tests
+for literals and compiled-``re`` searches for true regexes.
 """
 
 from repro.core.classify.header import (
@@ -20,13 +22,12 @@ from repro.core.classify.header import (
     LinearMatcher,
     merge_rulesets,
 )
-from repro.core.classify.regex import AhoCorasick, RegexPattern, RegexRuleSet
+from repro.core.classify.regex import RegexPattern, RegexRuleSet
 from repro.core.classify.rules import HeaderRule, PortRange, Prefix
 from repro.core.classify.tcam import TcamMatcher
 from repro.core.classify.trie import TrieMatcher
 
 __all__ = [
-    "AhoCorasick",
     "HeaderRule",
     "HeaderRuleSet",
     "LinearMatcher",

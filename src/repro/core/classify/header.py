@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.core.classify.rules import HeaderRule
+from repro.core.classify.rules import HeaderRule, match_fields
 from repro.net.packet import Packet
 
 
@@ -45,8 +45,9 @@ class HeaderRuleSet:
 
     def classify(self, packet: Packet) -> int:
         """First-match classification; returns the output port."""
+        fields = match_fields(packet)
         for rule in self.rules:
-            if rule.matches(packet):
+            if rule.matches_fields(fields):
                 return rule.port
         return self.default_port
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.classify.regex import RegexPattern, RegexRuleSet
-from repro.core.classify.rules import HeaderRule
+from repro.core.classify.rules import HeaderRule, match_fields
 from repro.net.packet import Packet
 
 
@@ -42,12 +42,12 @@ class HeaderPayloadRule:
 
 
 class HeaderPayloadRuleSet:
-    """Ordered combined rules with a shared payload-pattern automaton.
+    """Ordered combined rules with one shared payload-pattern set.
 
-    Matching evaluates payload patterns once (one multi-pattern pass)
-    and then walks rules in priority order, so the per-packet cost is
-    one DPI scan plus header checks — the cost structure the paper's
-    cost accounting assumes for IPS-style blocks.
+    Matching reads the header fields once, walks rules in priority order
+    and evaluates the payload patterns once, at the first header hit, so
+    the per-packet cost is one DPI pass plus header checks — the cost
+    structure the paper's cost accounting assumes for IPS-style blocks.
     """
 
     def __init__(self, rules: list[HeaderPayloadRule], default_port: int = 0) -> None:
@@ -79,9 +79,10 @@ class HeaderPayloadRuleSet:
 
     def classify(self, packet: Packet) -> int:
         payload = packet.payload
+        fields = match_fields(packet)
         matched_patterns: set[int] | None = None
         for rule_index, rule in enumerate(self.rules):
-            if not rule.header.matches(packet):
+            if not rule.header.matches_fields(fields):
                 continue
             pattern_index = self._pattern_index_of_rule[rule_index]
             if pattern_index is None:

@@ -1,25 +1,32 @@
 """Payload pattern matching for RegexClassifier blocks.
 
 Snort-style rule sets are dominated by literal ``content`` patterns with
-the occasional true regular expression (``pcre``). We therefore match the
-way production IPS engines do:
+the occasional true regular expression (``pcre``). The IPS splits its
+rules into groups by destination port, so a deployed RegexClassifier
+holds few patterns (14–18 on the benchmark's IPS), and the rule set is
+one priority-ordered list of checks, each run at C speed:
 
-* all literal patterns are compiled into a single :class:`AhoCorasick`
-  automaton (built from scratch: goto/failure/output functions) and
-  matched in one pass over the payload;
-* true regexes are compiled with :mod:`re` and evaluated individually.
+* a literal is a ``bytes`` substring test (``needle in payload``);
+* a ``nocase`` literal is a substring test against the lower-cased
+  payload, which is lowered at most once per call;
+* a true regex is a compiled :mod:`re` ``search``.
 
 The classifier reports the *highest-priority* (lowest index) matching
 pattern, which gives deterministic first-match semantics like the header
-classifiers.
+classifiers. Each check scans the payload once, so the cost grows with
+the pattern count: above ~100–150 literals in one block a single-pass
+multi-pattern automaton wins, even one written in Python. No benchmark
+workload has blocks that large.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterator
+
+# Check kinds: case-sensitive literal, ``nocase`` literal, regex.
+_LITERAL, _NOCASE, _REGEX = range(3)
 
 
 @dataclass(frozen=True)
@@ -49,133 +56,30 @@ class RegexPattern:
         )
 
 
-class AhoCorasick:
-    """Multi-pattern literal matcher (Aho-Corasick automaton).
-
-    Patterns are byte strings; matching runs in O(payload length +
-    matches). ``find_first`` returns the lowest pattern id whose pattern
-    occurs in the haystack, which is what first-match classification
-    needs; ``find_all`` returns every (pattern id, end offset) occurrence.
-    """
-
-    def __init__(self, patterns: Iterable[bytes]) -> None:
-        self._patterns = [bytes(pattern) for pattern in patterns]
-        if any(not pattern for pattern in self._patterns):
-            raise ValueError("empty pattern not allowed")
-        # goto function: list of dicts byte -> state
-        self._goto: list[dict[int, int]] = [{}]
-        # output: pattern ids terminating at each state
-        self._output: list[list[int]] = [[]]
-        self._fail: list[int] = [0]
-        for pattern_id, pattern in enumerate(self._patterns):
-            self._add(pattern_id, pattern)
-        self._build_failure_links()
-
-    def _add(self, pattern_id: int, pattern: bytes) -> None:
-        state = 0
-        for byte in pattern:
-            nxt = self._goto[state].get(byte)
-            if nxt is None:
-                nxt = len(self._goto)
-                self._goto.append({})
-                self._output.append([])
-                self._fail.append(0)
-                self._goto[state][byte] = nxt
-            state = nxt
-        self._output[state].append(pattern_id)
-
-    def _build_failure_links(self) -> None:
-        queue: deque[int] = deque()
-        for state in self._goto[0].values():
-            self._fail[state] = 0
-            queue.append(state)
-        while queue:
-            state = queue.popleft()
-            for byte, nxt in self._goto[state].items():
-                queue.append(nxt)
-                fallback = self._fail[state]
-                while fallback and byte not in self._goto[fallback]:
-                    fallback = self._fail[fallback]
-                self._fail[nxt] = self._goto[fallback].get(byte, 0)
-                if self._fail[nxt] == nxt:
-                    self._fail[nxt] = 0
-                self._output[nxt] = self._output[nxt] + self._output[self._fail[nxt]]
-
-    @property
-    def num_states(self) -> int:
-        return len(self._goto)
-
-    def _step(self, state: int, byte: int) -> int:
-        while state and byte not in self._goto[state]:
-            state = self._fail[state]
-        return self._goto[state].get(byte, 0)
-
-    def find_all(self, haystack: bytes) -> list[tuple[int, int]]:
-        """All matches as (pattern id, end offset) pairs."""
-        matches: list[tuple[int, int]] = []
-        state = 0
-        for offset, byte in enumerate(haystack):
-            state = self._step(state, byte)
-            for pattern_id in self._output[state]:
-                matches.append((pattern_id, offset + 1))
-        return matches
-
-    def find_first(self, haystack: bytes) -> int | None:
-        """Lowest pattern id occurring in ``haystack``, or None.
-
-        Scans the whole haystack (a later position may hold a
-        lower-id pattern), tracking the minimum id seen.
-        """
-        best: int | None = None
-        state = 0
-        for byte in haystack:
-            state = self._step(state, byte)
-            for pattern_id in self._output[state]:
-                if best is None or pattern_id < best:
-                    if pattern_id == 0:
-                        return 0
-                    best = pattern_id
-        return best
-
-    def contains_any(self, haystack: bytes) -> bool:
-        state = 0
-        for byte in haystack:
-            state = self._step(state, byte)
-            if self._output[state]:
-                return True
-        return False
-
-
 class RegexRuleSet:
     """A compiled RegexClassifier configuration.
 
-    Splits patterns into a literal set (one Aho-Corasick pass) and a
-    regex list (individual :mod:`re` evaluation), then reports the
-    highest-priority match across both.
+    Holds one ``(kind, needle)`` check per pattern, in pattern (priority)
+    order; ``needle`` is the literal's bytes (lower-cased for ``nocase``)
+    or the compiled regex.
     """
 
     def __init__(self, patterns: list[RegexPattern], default_port: int = 0) -> None:
         self.patterns = list(patterns)
         self.default_port = default_port
-        cs_literals: list[bytes] = []
-        self._cs_ids: list[int] = []
-        ci_literals: list[bytes] = []
-        self._ci_ids: list[int] = []
-        self._regexes: list[tuple[int, re.Pattern[bytes]]] = []
+        self._checks: list[tuple[int, Any]] = []
         for index, spec in enumerate(self.patterns):
+            needle = spec.pattern.encode("latin-1")
             if spec.is_regex:
                 flags = 0 if spec.case_sensitive else re.IGNORECASE
-                self._regexes.append(
-                    (index, re.compile(spec.pattern.encode("latin-1"), flags))
-                )
+                self._checks.append((_REGEX, re.compile(needle, flags)))
+            elif not needle:
+                # An empty literal occurs in every payload.
+                raise ValueError(f"empty literal pattern at index {index}")
             elif spec.case_sensitive:
-                cs_literals.append(spec.pattern.encode("latin-1"))
-                self._cs_ids.append(index)
+                self._checks.append((_LITERAL, needle))
             else:
-                ci_literals.append(spec.pattern.encode("latin-1").lower())
-                self._ci_ids.append(index)
-        self._cs_automaton = AhoCorasick(cs_literals) if cs_literals else None
-        self._ci_automaton = AhoCorasick(ci_literals) if ci_literals else None
+                self._checks.append((_NOCASE, needle.lower()))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -191,45 +95,28 @@ class RegexRuleSet:
             "default_port": self.default_port,
         }
 
-    def first_match_index(self, payload: bytes) -> int | None:
-        """Index of the highest-priority matching pattern, or None.
+    def _hits(self, payload: bytes) -> Iterator[int]:
+        """Indexes of the matching patterns, lowest first, lazily."""
+        lowered = None
+        for index, (kind, needle) in enumerate(self._checks):
+            if kind == _LITERAL:
+                hit = needle in payload
+            elif kind == _NOCASE:
+                if lowered is None:
+                    lowered = payload.lower()
+                hit = needle in lowered
+            else:
+                hit = needle.search(payload) is not None
+            if hit:
+                yield index
 
-        The per-automaton id lists are built in pattern-index order, so
-        the lowest automaton id maps to the lowest original index within
-        each automaton; the overall winner is the minimum across sources.
-        """
-        best: int | None = None
-        if self._cs_automaton is not None:
-            hit = self._cs_automaton.find_first(payload)
-            if hit is not None:
-                best = self._cs_ids[hit]
-        if self._ci_automaton is not None:
-            hit = self._ci_automaton.find_first(payload.lower())
-            if hit is not None:
-                index = self._ci_ids[hit]
-                if best is None or index < best:
-                    best = index
-        for index, compiled in self._regexes:
-            if best is not None and index > best:
-                continue
-            if compiled.search(payload):
-                if best is None or index < best:
-                    best = index
-        return best
+    def first_match_index(self, payload: bytes) -> int | None:
+        """Index of the highest-priority matching pattern, or None."""
+        return next(self._hits(payload), None)
 
     def match_all(self, payload: bytes) -> set[int]:
-        """Indexes of *every* matching pattern (single multi-pattern pass)."""
-        matched: set[int] = set()
-        if self._cs_automaton is not None:
-            for hit, _offset in self._cs_automaton.find_all(payload):
-                matched.add(self._cs_ids[hit])
-        if self._ci_automaton is not None:
-            for hit, _offset in self._ci_automaton.find_all(payload.lower()):
-                matched.add(self._ci_ids[hit])
-        for index, compiled in self._regexes:
-            if compiled.search(payload):
-                matched.add(index)
-        return matched
+        """Indexes of *every* matching pattern."""
+        return set(self._hits(payload))
 
     def classify(self, payload: bytes) -> int:
         """Output port for ``payload`` (default port when nothing matches)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.classify.header import HeaderRuleSet
-from repro.core.classify.rules import HeaderRule, PortRange
+from repro.core.classify.rules import HeaderRule, PortRange, match_fields
 from repro.net.packet import Packet
 
 
@@ -126,32 +126,16 @@ class TcamMatcher:
                                         priority=priority,
                                     ))
 
-    def _key_of(self, packet: Packet) -> int | None:
-        ipv4 = packet.ipv4
-        if ipv4 is None:
-            return None
-        l4 = packet.l4
-        eth = packet.eth
-        vlan_tag = eth.vlan if eth is not None else None
-        return _pack_key(
-            ipv4.src,
-            ipv4.dst,
-            l4.src_port if l4 is not None else 0,
-            l4.dst_port if l4 is not None else 0,
-            ipv4.proto,
-            vlan_tag.vid if vlan_tag is not None else 0,
-            ipv4.dscp,
-        )
-
     def match(self, packet: Packet) -> int:
-        key = self._key_of(packet)
-        if key is None:
-            # Non-IP: only rules that are full wildcards can match; fall
-            # back to exact semantics via the rule objects.
+        fields = match_fields(packet)
+        if fields is None:
+            # Non-IP: only rules that are full wildcards can match.
             for rule in self.ruleset.rules:
-                if rule.matches(packet):
+                if rule.is_catch_all:
                     return rule.port
             return self.ruleset.default_port
+        src, dst, proto, dscp, vlan, src_port, dst_port = fields
+        key = _pack_key(src, dst, src_port or 0, dst_port or 0, proto, vlan or 0, dscp)
         best: TcamEntry | None = None
         for entry in self.entries:
             if key & entry.mask == entry.value:

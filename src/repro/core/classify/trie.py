@@ -1,19 +1,25 @@
-"""Software header classifier: destination-prefix trie front end.
+"""Software header classifier: a destination-prefix trie.
 
 This is the "trie in software" implementation the paper contrasts with a
-hardware TCAM (§2.1). The trie indexes rules by destination prefix; a
-lookup walks the destination address bit-by-bit collecting all candidate
-rules whose destination prefix covers the packet, then refines by
-priority-ordered scan over that (usually small) candidate list.
+hardware TCAM (§2.1). The trie indexes rules by destination prefix, each
+at the node of its prefix. Rules are inserted in priority order, so
+every node's list is already sorted and a lookup never sorts:
 
-First-match semantics are identical to :class:`LinearMatcher`; only the
-cost profile differs.
+1. walk the destination address bit by bit and, at each node on the
+   path, scan its rules for the first match that outranks the best so
+   far;
+2. scan the root's rules (destination ANY) only up to that match's
+   priority.
+
+The match fields are read from the packet once per lookup. First-match
+semantics are identical to :class:`LinearMatcher`; only the cost profile
+differs.
 """
 
 from __future__ import annotations
 
 from repro.core.classify.header import HeaderRuleSet
-from repro.core.classify.rules import HeaderRule
+from repro.core.classify.rules import HeaderRule, match_fields
 from repro.net.packet import Packet
 
 
@@ -22,7 +28,8 @@ class _TrieNode:
 
     def __init__(self) -> None:
         self.children: list["_TrieNode | None"] = [None, None]
-        # (priority, rule) pairs anchored at exactly this prefix.
+        # (priority, rule) pairs anchored at exactly this prefix, in
+        # ascending priority order.
         self.rules: list[tuple[int, HeaderRule]] = []
 
 
@@ -51,23 +58,27 @@ class TrieMatcher:
         node.rules.append((priority, rule))
 
     def match(self, packet: Packet) -> int:
-        ipv4 = packet.ipv4
-        if ipv4 is None:
-            # Non-IP packets can only hit catch-all rules, which live at
-            # the root (prefix length 0).
-            candidates = list(self._root.rules)
-        else:
-            candidates = list(self._root.rules)
-            node = self._root
-            address = ipv4.dst
-            for depth in range(32):
-                bit = (address >> (31 - depth)) & 1
-                node = node.children[bit]
+        fields = match_fields(packet)
+        best, port = len(self.ruleset.rules), self.ruleset.default_port
+        if fields is not None:
+            node: _TrieNode | None = self._root
+            address = fields[1]
+            for shift in range(31, -1, -1):
+                node = node.children[(address >> shift) & 1]
                 if node is None:
                     break
-                candidates.extend(node.rules)
-        candidates.sort(key=lambda item: item[0])
-        for _priority, rule in candidates:
-            if rule.matches(packet):
+                for priority, rule in node.rules:
+                    if priority >= best:
+                        break
+                    if rule.matches_fields(fields):
+                        best, port = priority, rule.port
+                        break
+        # The destination-ANY rules that outrank the path match. For a
+        # non-IP packet these are the only candidates: only catch-alls
+        # match it, and they live at the root.
+        for priority, rule in self._root.rules:
+            if priority >= best:
+                break
+            if rule.matches_fields(fields):
                 return rule.port
-        return self.ruleset.default_port
+        return port

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 from dataclasses import dataclass, field
@@ -53,6 +54,12 @@ class MacAddress:
 
     def __int__(self) -> int:
         return int.from_bytes(self.raw, "big")
+
+
+# Frames repeat a handful of MACs and MacAddress is immutable, so
+# parsing shares one instance per address instead of building two per
+# frame.
+_mac = functools.lru_cache(maxsize=4096)(MacAddress)
 
 
 @dataclass(slots=True)
@@ -121,8 +128,8 @@ class EthernetHeader:
         buf = bytes(data)
         if len(buf) - offset < cls.HEADER_LEN:
             raise ValueError("truncated Ethernet header")
-        dst = MacAddress(buf[offset : offset + 6])
-        src = MacAddress(buf[offset + 6 : offset + 12])
+        dst = _mac(buf[offset : offset + 6])
+        src = _mac(buf[offset + 6 : offset + 12])
         pos = offset + 12
         tags: list[VlanTag] = []
         (ethertype,) = struct.unpack_from("!H", buf, pos)
@@ -133,7 +140,7 @@ class EthernetHeader:
             (tci, ethertype) = struct.unpack_from("!HH", buf, pos)
             tags.append(VlanTag.from_tci(tci))
             pos += 4
-        return cls(dst=dst, src=src, ethertype=ethertype, vlan_tags=tags)
+        return cls(dst, src, ethertype, tags)
 
     def serialize(self) -> bytes:
         parts = [self.dst.raw, self.src.raw]

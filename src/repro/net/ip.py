@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import socket
 import struct
 from dataclasses import dataclass
 
 from repro.net.checksum import internet_checksum
+
+_U32 = struct.Struct("!I")
 
 
 class IpProto:
@@ -34,7 +37,7 @@ def int_to_ip(value: int) -> str:
     """Convert a 32-bit integer to dotted-quad notation."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"IPv4 address out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return socket.inet_ntoa(_U32.pack(value))
 
 
 def parse_cidr(text: str) -> tuple[int, int]:
@@ -107,20 +110,21 @@ class Ipv4Header:
         header_len = ihl * 4
         if len(buf) - offset < header_len:
             raise ValueError("truncated IPv4 options")
-        options = buf[offset + cls.MIN_HEADER_LEN : offset + header_len]
+        # Positional, in field order: keyword binding of twelve fields
+        # costs more than the rest of the parse.
         return cls(
-            src=src,
-            dst=dst,
-            proto=proto,
-            total_length=total_length,
-            ttl=ttl,
-            identification=identification,
-            dscp=tos >> 2,
-            ecn=tos & 0x3,
-            flags=(flags_frag >> 13) & 0x7,
-            frag_offset=flags_frag & 0x1FFF,
-            checksum=checksum,
-            options=options,
+            src,
+            dst,
+            proto,
+            total_length,
+            ttl,
+            identification,
+            tos >> 2,
+            tos & 0x3,
+            (flags_frag >> 13) & 0x7,
+            flags_frag & 0x1FFF,
+            checksum,
+            buf[offset + cls.MIN_HEADER_LEN : offset + header_len],
         )
 
     def serialize(self, payload_len: int | None = None) -> bytes:

@@ -14,16 +14,26 @@ observe consistent bytes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.net.ethernet import EtherType, EthernetHeader
-from repro.net.ip import IpProto, Ipv4Header
+from repro.net.ip import IpProto, Ipv4Header, int_to_ip
 from repro.net.tcp import TcpHeader
 from repro.net.udp import UdpHeader
 
 _packet_ids = itertools.count(1)
+_PROTO_NAMES = {IpProto.TCP: "tcp", IpProto.UDP: "udp"}
+
+
+@functools.lru_cache(maxsize=4096)
+def _flow_text(proto: int, src: int, dst: int, ports: str) -> str:
+    """The flow part of :meth:`Packet.summary`. Packets of one flow
+    repeat it, so each flow's addresses are formatted once."""
+    name = _PROTO_NAMES.get(proto) or str(proto)
+    return f"{name} {int_to_ip(src)}->{int_to_ip(dst)}{ports}"
 
 
 @dataclass
@@ -34,7 +44,7 @@ class Packet:
     timestamp: float = 0.0
     ingress_port: str | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     _eth: EthernetHeader | None = field(default=None, repr=False)
     _ipv4: Ipv4Header | None = field(default=None, repr=False)
@@ -52,23 +62,24 @@ class Packet:
         if self._parsed:
             return
         self._parsed = True
+        data = self.data
         try:
-            self._eth = EthernetHeader.parse(self.data)
+            eth = self._eth = EthernetHeader.parse(data)
         except ValueError:
             return
-        offset = self._eth.header_len
-        if self._eth.ethertype != EtherType.IPV4:
+        if eth.ethertype != EtherType.IPV4:
             return
+        offset = eth.header_len
         try:
-            self._ipv4 = Ipv4Header.parse(self.data, offset)
+            ipv4 = self._ipv4 = Ipv4Header.parse(data, offset)
         except ValueError:
             return
-        offset += self._ipv4.header_len
+        offset += ipv4.header_len
         try:
-            if self._ipv4.proto == IpProto.TCP:
-                self._l4 = TcpHeader.parse(self.data, offset)
-            elif self._ipv4.proto == IpProto.UDP:
-                self._l4 = UdpHeader.parse(self.data, offset)
+            if ipv4.proto == IpProto.TCP:
+                self._l4 = TcpHeader.parse(data, offset)
+            elif ipv4.proto == IpProto.UDP:
+                self._l4 = UdpHeader.parse(data, offset)
         except ValueError:
             self._l4 = None
 
@@ -193,13 +204,9 @@ class Packet:
     def summary(self) -> str:
         """One-line human-readable description, for logs and debugging."""
         self._parse()
-        if self._ipv4 is None:
+        ipv4, l4 = self._ipv4, self._l4
+        if ipv4 is None:
             return f"pkt#{self.packet_id} len={len(self.data)} non-ip"
-        proto = {IpProto.TCP: "tcp", IpProto.UDP: "udp"}.get(self._ipv4.proto, str(self._ipv4.proto))
-        ports = ""
-        if self._l4 is not None:
-            ports = f" {self._l4.src_port}->{self._l4.dst_port}"
-        return (
-            f"pkt#{self.packet_id} len={len(self.data)} {proto} "
-            f"{self._ipv4.src_text}->{self._ipv4.dst_text}{ports}"
-        )
+        ports = f" {l4.src_port}->{l4.dst_port}" if l4 is not None else ""
+        flow = _flow_text(ipv4.proto, ipv4.src, ipv4.dst, ports)
+        return f"pkt#{self.packet_id} len={len(self.data)} {flow}"

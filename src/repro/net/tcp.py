@@ -73,16 +73,17 @@ class TcpHeader:
         header_len = data_offset * 4
         if len(buf) - offset < header_len:
             raise ValueError("truncated TCP options")
+        # Positional, in field order (cheaper than keyword binding).
         return cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=off_flags & 0x1FF,
-            window=window,
-            checksum=checksum,
-            urgent=urgent,
-            options=buf[offset + cls.MIN_HEADER_LEN : offset + header_len],
+            src_port,
+            dst_port,
+            seq,
+            ack,
+            off_flags & 0x1FF,
+            window,
+            checksum,
+            urgent,
+            buf[offset + cls.MIN_HEADER_LEN : offset + header_len],
         )
 
     def serialize(

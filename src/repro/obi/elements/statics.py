@@ -19,12 +19,15 @@ class AlertElement(Element):
     def process(self, packet: Packet) -> list[tuple[int, Packet]]:
         outcome = self.context.current if self.context is not None else None
         if outcome is not None:
+            config = self.config
+            # Positional (block, origin_app, message, severity,
+            # packet_summary): keyword binding costs more per alert.
             outcome.alerts.append(AlertEvent(
-                block=self.name,
-                origin_app=self.origin_app or self.config.get("origin_app"),
-                message=self.config.get("message", ""),
-                severity=self.config.get("severity", "info"),
-                packet_summary=packet.summary(),
+                self.name,
+                self.origin_app or config.get("origin_app"),
+                config.get("message", ""),
+                config.get("severity", "info"),
+                packet.summary(),
             ))
         return [(0, packet)]
 

@@ -197,12 +197,27 @@ class Element:
         order matches Click's immediate push semantics.
         """
         stack: list[tuple["Element", Packet, int]] = [(self, packet, -1)]
+        # Per-traversal state lives on the engine context (only
+        # Engine.process writes it) and the OBI sets the degradation
+        # flags between packets: re-read them only when the context
+        # changes.
+        context = outcome = trace = decisions = recorder = guard = None
+        degraded = False
         while stack:
             element, current, parent = stack.pop()
-            context = element.context
-            outcome = context.current if context is not None else None
-            trace = context.trace if context is not None else None
-            if context is not None and context.decisions is not None:
+            if element.context is not context:
+                context = element.context
+                if context is None:
+                    outcome = trace = decisions = recorder = guard = None
+                    degraded = False
+                else:
+                    outcome = context.current
+                    trace = context.trace
+                    decisions = context.decisions
+                    recorder = context.recorder
+                    guard = context.robustness
+                    degraded = guard is not None and guard.degraded
+            if decisions is not None:
                 # Fast path: replay the cached decision instead of
                 # matching. Only decision-cached classifiers are
                 # skipped — every other element runs normally below, so
@@ -211,13 +226,13 @@ class Element:
                 # classifier's own tallies via replay_decision) is kept
                 # byte-identical to the slow path.
                 port = (
-                    context.decisions.get(element.name)
+                    decisions.get(element.name)
                     if element.caches_decision and element.cacheable
                     else None
                 )
                 if port is not None:
                     element.count += 1
-                    element.byte_count += len(current)
+                    element.byte_count += len(current.data)
                     if outcome is not None:
                         outcome.path.append(element.name)
                     element.replay_decision(port, current)
@@ -234,13 +249,13 @@ class Element:
                     if successor is not None:
                         stack.append((successor, current, parent))
                     continue
-            recorder = context.recorder if context is not None else None
-            guard = context.robustness if context is not None else None
-            if guard is not None:
+            if guard is not None and (guard.breakers or degraded):
                 # Quarantined element or overload-degraded bypass: the
                 # element is skipped and containment emissions used
                 # instead (it neither counts the packet nor appears on
-                # the path — it did not process anything).
+                # the path — it did not process anything). Breakers
+                # exist only once an element has faulted, so a healthy
+                # OBI skips this check.
                 contained = guard.intercept(element, current, outcome)
                 if contained is not None:
                     if recorder is not None:
@@ -265,7 +280,7 @@ class Element:
                             stack.append((successor, out_packet, parent))
                     continue
             element.count += 1
-            element.byte_count += len(current)
+            element.byte_count += len(current.data)
             if outcome is not None:
                 outcome.path.append(element.name)
             span = (
@@ -283,7 +298,8 @@ class Element:
                     if span is not None:
                         span.event = f"fault:{guard.policy.error_policy}"
                 else:
-                    guard.on_success(element)
+                    if guard.breakers:
+                        guard.on_success(element)
             else:
                 emissions = element.process(current)
             if span is not None:
@@ -473,7 +489,7 @@ class Engine:
         if trace is not None:
             tracer.finish(trace, outcome)
         self.packets_processed += 1
-        self.bytes_processed += len(packet)
+        self.bytes_processed += len(packet.data)
         if outcome.dropped:
             self.dropped_total += 1
         if outcome.punted:

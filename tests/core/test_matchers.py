@@ -5,6 +5,7 @@ implementations (paper §2.1); their observable behaviour must be
 identical — only cost differs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,9 @@ def packets():
 class TestImplementationAgreement:
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(rule_dicts(), max_size=8),
+        # Enough rules that destination-ANY (root) rules fall on both
+        # sides of the trie path's first match.
+        st.lists(rule_dicts(), max_size=40),
         st.integers(0, 4),
         st.lists(packets(), min_size=1, max_size=6),
     )
@@ -63,6 +66,46 @@ class TestImplementationAgreement:
                 f"implementations disagree on {packet.summary()}: "
                 f"{[type(m).__name__ for m in matchers]} -> {results}"
             )
+
+    @pytest.mark.parametrize(
+        ("rules", "packet", "port"),
+        [
+            pytest.param(
+                [{"proto": 6, "port": 1}, {"dst_ip": "192.168.0.0/16", "port": 2}],
+                make_tcp_packet("1.2.3.4", "192.168.5.5", 1000, 80),
+                1,
+                id="root-rule-outranks-path-match",
+            ),
+            pytest.param(
+                [
+                    {"dst_ip": "192.168.128.0/17", "port": 3},
+                    {"dst_ip": "192.168.0.0/16", "port": 2},
+                    {"proto": 6, "port": 1},
+                    {"port": 4},
+                ],
+                make_tcp_packet("1.2.3.4", "192.168.5.5", 1000, 80),
+                2,
+                id="path-match-outranks-root-rules",
+            ),
+            pytest.param(
+                [
+                    {"proto": 6, "port": 1},
+                    {"dst_ip": "0.0.0.0/1", "port": 2},
+                    {"dst_port": 80, "port": 3},
+                    {"port": 4},
+                ],
+                Packet(data=b"\x00" * 20),
+                4,
+                id="non-ip-hits-later-catch-all",
+            ),
+        ],
+    )
+    def test_first_match_across_path_and_root(self, rules, packet, port):
+        ruleset = HeaderRuleSet(
+            [HeaderRule.from_dict(rule) for rule in rules], default_port=0
+        )
+        for matcher in (LinearMatcher(ruleset), TrieMatcher(ruleset), TcamMatcher(ruleset)):
+            assert matcher.match(packet) == port, type(matcher).__name__
 
     def test_non_ip_packet_handled_by_all(self):
         ruleset = HeaderRuleSet(
@@ -105,7 +148,6 @@ class TestTcamExpansion:
         assert matcher.entry_count >= 2  # range expansion
 
     def test_capacity_enforced(self):
-        import pytest
         ruleset = HeaderRuleSet(
             [HeaderRule.from_dict({"dst_port": [1, 30000], "port": 1})],
             default_port=0,

@@ -1,4 +1,4 @@
-"""Aho-Corasick and RegexRuleSet tests (reference-checked against re)."""
+"""RegexRuleSet tests (reference-checked against re)."""
 
 import re
 
@@ -6,67 +6,92 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify.regex import AhoCorasick, RegexPattern, RegexRuleSet
+from repro.core.classify.regex import RegexPattern, RegexRuleSet
+
+
+def _literals(*patterns):
+    return RegexRuleSet([RegexPattern(pattern=p) for p in patterns])
 
 
 class TestAhoCorasick:
+    """The multi-pattern guarantees of an Aho-Corasick automaton (overlaps,
+    lowest index wins wherever it occurs), held by the ordered scan."""
+
     def test_single_pattern(self):
-        automaton = AhoCorasick([b"abc"])
-        assert automaton.find_first(b"xxabcxx") == 0
-        assert automaton.find_first(b"xxabxx") is None
+        ruleset = _literals("abc")
+        assert ruleset.first_match_index(b"xxabcxx") == 0
+        assert ruleset.first_match_index(b"xxabxx") is None
 
     def test_overlapping_patterns(self):
-        automaton = AhoCorasick([b"he", b"she", b"his", b"hers"])
-        matches = automaton.find_all(b"ushers")
-        found = {pattern_id for pattern_id, _end in matches}
-        assert found == {0, 1, 3}  # "she", "he", "hers"
+        ruleset = _literals("he", "she", "his", "hers")
+        assert ruleset.match_all(b"ushers") == {0, 1, 3}  # "he", "she", "hers"
+        assert ruleset.first_match_index(b"ushers") == 0
 
     def test_find_first_returns_lowest_id(self):
-        automaton = AhoCorasick([b"zzz", b"aa"])
-        # Pattern 1 appears first positionally, but keep scanning: no
-        # pattern 0 present -> 1.
-        assert automaton.find_first(b"xaax") == 1
-        # Pattern 0 later in the text still wins by id.
-        assert automaton.find_first(b"aa...zzz") == 0
+        ruleset = _literals("zzz", "aa")
+        # Pattern 1 appears first positionally, but no pattern 0 -> 1.
+        assert ruleset.first_match_index(b"xaax") == 1
+        # Pattern 0 later in the text still wins by index.
+        assert ruleset.first_match_index(b"aa...zzz") == 0
 
     def test_pattern_inside_pattern(self):
-        automaton = AhoCorasick([b"abcd", b"bc"])
-        found = {pattern_id for pattern_id, _ in automaton.find_all(b"abcd")}
-        assert found == {0, 1}
+        ruleset = _literals("abcd", "bc")
+        assert ruleset.match_all(b"abcd") == {0, 1}
+        assert ruleset.first_match_index(b"xbcx") == 1
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
-            AhoCorasick([b""])
+            _literals("")
+        with pytest.raises(ValueError):
+            RegexRuleSet([RegexPattern(pattern="", case_sensitive=False)])
 
     def test_contains_any(self):
-        automaton = AhoCorasick([b"evil"])
-        assert automaton.contains_any(b"such evil bytes")
-        assert not automaton.contains_any(b"innocuous")
+        ruleset = _literals("evil")
+        assert ruleset.first_match_index(b"such evil bytes") is not None
+        assert ruleset.first_match_index(b"innocuous") is None
 
     def test_repeated_failure_transitions(self):
-        automaton = AhoCorasick([b"aaa"])
-        matches = automaton.find_all(b"aaaaa")
-        assert [end for _id, end in matches] == [3, 4, 5]
+        ruleset = _literals("aaa", "aaaaaa")
+        assert ruleset.match_all(b"aaaaa") == {0}
+        assert ruleset.match_all(b"aa") == set()
+        assert ruleset.first_match_index(b"baabaaab") == 0
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(st.binary(min_size=1, max_size=5), min_size=1, max_size=6),
-        st.binary(max_size=60),
+        st.lists(
+            st.one_of(
+                st.builds(
+                    lambda text, nocase: RegexPattern(
+                        pattern=text, case_sensitive=not nocase),
+                    st.text(alphabet="abAB\xe9", min_size=1, max_size=4),
+                    st.booleans(),
+                ),
+                st.builds(
+                    lambda text, nocase: RegexPattern(
+                        pattern=text, is_regex=True, case_sensitive=not nocase),
+                    st.sampled_from(["a+b", "[Bb]a", "a.A", "^b", "ab$"]),
+                    st.booleans(),
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.text(alphabet="aAbB\xe9 ", max_size=60).map(lambda text: text.encode("latin-1")),
     )
-    def test_matches_reference_implementation(self, patterns, haystack):
-        """find_all agrees with a naive find-all over every pattern."""
-        automaton = AhoCorasick(patterns)
-        got = {(pattern_id, end) for pattern_id, end in automaton.find_all(haystack)}
+    def test_matches_reference_implementation(self, specs, payload):
+        """Both queries agree with a brute-force search of every pattern;
+        the first match is the lowest index that occurs."""
+        ruleset = RegexRuleSet(specs)
         expected = set()
-        for pattern_id, pattern in enumerate(patterns):
-            start = 0
-            while True:
-                index = haystack.find(pattern, start)
-                if index < 0:
-                    break
-                expected.add((pattern_id, index + len(pattern)))
-                start = index + 1
-        assert got == expected
+        for index, spec in enumerate(specs):
+            source = spec.pattern.encode("latin-1")
+            if not spec.is_regex:
+                source = re.escape(source)
+            flags = 0 if spec.case_sensitive else re.IGNORECASE
+            if re.search(source, payload, flags):
+                expected.add(index)
+        assert ruleset.match_all(payload) == expected
+        assert ruleset.first_match_index(payload) == min(expected, default=None)
 
 
 class TestRegexRuleSet:
