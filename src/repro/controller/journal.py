@@ -1,48 +1,57 @@
-"""Durable controller state: write-ahead journal + compacted snapshots.
+"""The durable log: write-ahead journal + compacted snapshots.
 
 The paper's controller is *logically centralized* (§4.2), which is only
 viable if it can die and come back without taking the data plane with
-it. This module gives the controller a crash-consistent persistence
-layer with two halves:
+it; per-flow session storage (§3.4.2) has the same need. This module is
+the one place that knows the durable-log format, and every durable
+artefact in the repo is a :class:`StateJournal`: the controller journal,
+its hot-standby replicas, and the OBI flow-state checkpoints. It has
+four parts:
 
-* an **append-only JSON-lines journal**: every state mutation (app
-  registration, segment discovery, OBI connection, successful deploy,
-  generation bump) is one self-describing record. Appends are batched
-  to ``fsync`` every ``fsync_every`` records — the classic WAL
-  throughput/durability trade, tunable down to 1 for strict durability;
-* **periodic compacted snapshots**: after ``compact_every`` appends the
-  whole logical state is rewritten as a single ``snapshot`` record into
-  a fresh file, atomically swapped in with ``os.replace``, so the
-  journal never grows without bound and replay cost stays O(state),
-  not O(history).
+* an **append-only JSON-lines journal**: every state mutation is one
+  self-describing record. Appends are batched to ``fsync`` every
+  ``fsync_every`` records — the classic WAL throughput/durability trade,
+  tunable down to 1 for strict durability;
+* **one atomic segment swap** (:meth:`StateJournal.replace`): after
+  ``compact_every`` appends the whole logical state is rewritten as a
+  single ``snapshot`` record into a fresh file, atomically swapped in,
+  so the journal never grows without bound and replay cost stays
+  O(state), not O(history). Degraded-mode rebuilds and a standby's
+  snapshot catch-up use the same swap;
+* **one reader** (:meth:`StateJournal.replay`) that folds the records
+  into any state object with an ``apply(record)`` method;
+* **one degraded mode** (:meth:`StateJournal.shed` /
+  :meth:`StateJournal.resume`) for owners that must outlive their disk.
 
 Replay is deliberately forgiving (the fuzz suite exercises this):
 
-* a **truncated or corrupt tail** (half-written last line after a
-  crash) stops replay at the longest valid prefix — everything before
-  it is recovered;
+* a **truncated or corrupt record** (half-written last line after a
+  crash, or a well-formed record the fold rejects) stops replay at the
+  longest valid prefix — everything before it is recovered;
 * **duplicate records** (a crash between apply and fsync can replay a
   batch) fold idempotently — registering the same app or segment twice
   is a no-op, a deploy record overwrites the previous intent for that
   OBI.
 
-What is journaled is *intent*, not mechanism: per-OBI the canonical
-digest of the intended graph plus its version epoch — enough for the
-anti-entropy loop to tell a converged OBI from a stale one without
-reserializing whole graphs into the log. Transaction-id high-watermarks
-ride along so a recovered controller never re-issues an xid a peer may
-still hold in its dedup cache, and the **controller generation** (bumped
-and flushed durably on every recovery, before any message is sent) is
-what lets OBIs fence off a stale predecessor (split-brain guard).
+What the controller journals is *intent*, not mechanism: per-OBI the
+canonical digest of the intended graph plus its version epoch — enough
+for the anti-entropy loop to tell a converged OBI from a stale one
+without reserializing whole graphs into the log. Transaction-id
+high-watermarks ride along so a recovered controller never re-issues an
+xid a peer may still hold in its dedup cache, and the **controller
+generation** (bumped and flushed durably on every recovery, before any
+message is sent) is what lets OBIs fence off a stale predecessor
+(split-brain guard).
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.durable import LOCAL, Storage
 
@@ -78,6 +87,7 @@ class JournalState:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "JournalState":
+        data = dict(data)
         state = cls()
         state.generation = int(data.get("generation", 0))
         state.apps = {
@@ -93,9 +103,22 @@ class JournalState:
         return state
 
     # -- record folding -------------------------------------------------
+    def _obi(self, obi_id: str) -> dict[str, Any]:
+        return self.obis.setdefault(
+            obi_id, {"segment": "", "callback_url": "",
+                     "digest": "", "graph_version": 0},
+        )
+
     def apply(self, record: dict[str, Any]) -> None:
-        """Fold one journal record into the state (idempotent)."""
+        """Fold one journal record into the state (idempotent).
+
+        Every field is converted before anything is mutated, so a record
+        with a bad field type raises (ending replay's valid prefix)
+        without leaving the state half-folded.
+        """
         kind = record.get("rec")
+        # Any record may carry an xid high-watermark piggyback.
+        xid_high = int(record.get("xid_high", 0))
         if kind == "snapshot":
             replacement = JournalState.from_dict(record.get("state", {}))
             self.__dict__.update(replacement.__dict__)
@@ -114,10 +137,7 @@ class JournalState:
         elif kind == "obi":
             obi_id = str(record.get("obi_id", ""))
             if obi_id:
-                entry = self.obis.setdefault(
-                    obi_id, {"segment": "", "callback_url": "",
-                             "digest": "", "graph_version": 0},
-                )
+                entry = self._obi(obi_id)
                 entry["segment"] = str(record.get("segment", entry["segment"]))
                 if record.get("callback_url"):
                     entry["callback_url"] = str(record["callback_url"])
@@ -126,15 +146,11 @@ class JournalState:
         elif kind == "deploy":
             obi_id = str(record.get("obi_id", ""))
             if obi_id:
-                entry = self.obis.setdefault(
-                    obi_id, {"segment": "", "callback_url": "",
-                             "digest": "", "graph_version": 0},
-                )
-                entry["digest"] = str(record.get("digest", ""))
-                entry["graph_version"] = int(record.get("graph_version", 0))
-        # Any record may carry an xid high-watermark piggyback.
-        if "xid_high" in record:
-            self.xid_high = max(self.xid_high, int(record["xid_high"]))
+                digest = str(record.get("digest", ""))
+                version = int(record.get("graph_version", 0))
+                entry = self._obi(obi_id)
+                entry["digest"], entry["graph_version"] = digest, version
+        self.xid_high = max(self.xid_high, xid_high)
 
 
 @dataclass(frozen=True)
@@ -142,8 +158,9 @@ class JournalCursor:
     """A replication position: (segment, record offset within it).
 
     A journal's **segment** is its compaction incarnation: every
-    :meth:`StateJournal.compact` rewrites the file and bumps the segment
-    number, invalidating record offsets taken against the previous file.
+    compaction (or degraded-mode rebuild) rewrites the file and bumps the
+    segment number, invalidating record offsets taken against the
+    previous file.
     A follower whose cursor names an older segment cannot be served a
     delta — the bytes it was tailing no longer exist — so it is caught
     up with a **snapshot**: the entire current file (whose first record
@@ -182,11 +199,14 @@ class StreamBatch:
 class ReplayResult:
     """What :meth:`StateJournal.replay` reconstructed."""
 
-    state: JournalState
+    #: The fold: a :class:`JournalState` unless the caller supplied
+    #: another state object (anything with ``apply(record)``).
+    state: Any
     #: Records folded into the state.
     records: int = 0
-    #: True when replay stopped early at a corrupt/truncated line; the
-    #: state is the fold of the longest valid prefix.
+    #: True when replay stopped early at a corrupt/truncated line or a
+    #: record the fold rejected; the state is the fold of the longest
+    #: valid prefix.
     truncated: bool = False
     #: The offending line (repr-safe excerpt), for diagnostics.
     bad_line: str = ""
@@ -194,6 +214,10 @@ class ReplayResult:
 
 class JournalError(Exception):
     """Raised for misuse (e.g. appending to a closed journal)."""
+
+
+def _line(record: dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 class StateJournal:
@@ -216,21 +240,16 @@ class StateJournal:
         #: Durable-storage backend; every write-side syscall goes through
         #: it so the chaos engine can inject ENOSPC/EIO/lying fsyncs.
         self.storage = storage or LOCAL
-        # A crash mid-compact can leave the snapshot temp file behind;
-        # the journal itself is intact (the replace never happened), so
-        # the stale attempt is simply discarded.
+        # A crash mid-swap can leave the temp file behind; the journal
+        # itself is intact (the replace never happened), so the stale
+        # attempt is simply discarded.
         self.storage.remove(self.path + ".compact")
         # Learn the replication position of an existing file before
-        # opening it for append: the segment number rides in the head
-        # snapshot record (compaction incarnation), and the offset is
-        # the count of valid records already present. Journal files are
-        # compaction-bounded, so this scan is O(state), not O(history).
-        self.segment = 0
-        self.record_count = 0
-        for record in self.read_records(self.path):
-            if self.record_count == 0 and record.get("rec") == "snapshot":
-                self.segment = int(record.get("segment", 0))
-            self.record_count += 1
+        # opening it for append. Journal files are compaction-bounded,
+        # so this scan is O(state), not O(history).
+        self.segment, self.record_count = self._position(
+            self.read_records(self.path)
+        )
         self._file = self.storage.open(self.path, "a")
         self._unsynced = 0
         self._appends_since_compact = 0
@@ -243,7 +262,25 @@ class StateJournal:
         self.compactions = 0
         #: Fresh segments started by :meth:`rebuild` (degraded-mode resume).
         self.rebuilds = 0
+        #: Shed-and-rebuild mode (:meth:`shed`): True once storage refused
+        #: a shed-mode write, until :meth:`resume` rebuilds the file.
+        self.degraded = False
+        #: Why the journal degraded (the refusing error), for alerts.
+        self.degraded_reason = ""
+        #: Shed-mode writes refused or skipped (drop accounting).
+        self.dropped_records = 0
         self._closed = False
+
+    @staticmethod
+    def _position(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
+        """(segment, record count) of a file holding ``records``; the
+        segment rides in the head snapshot record (0 without one)."""
+        segment = count = 0
+        for record in records:
+            if count == 0 and record.get("rec") == "snapshot":
+                segment = record.get("segment", 0)
+            count += 1
+        return segment, count
 
     # ------------------------------------------------------------------
     # Writing
@@ -253,7 +290,7 @@ class StateJournal:
         if self._closed:
             raise JournalError("journal is closed")
         try:
-            self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
+            self._file.write(_line(record))
         except (OSError, ValueError):
             # The record may be absent or torn on disk; replay's
             # longest-valid-prefix tolerance absorbs either form. It is
@@ -287,79 +324,25 @@ class StateJournal:
             self.fsyncs += 1
         self._unsynced = 0
 
-    @property
-    def should_compact(self) -> bool:
-        return self._appends_since_compact >= self.compact_every
+    def replace(self, records: list[dict[str, Any]]) -> None:
+        """Atomically swap the journal file for one holding ``records``.
 
-    def compact(self, state: JournalState) -> None:
-        """Rewrite the journal as one snapshot record, atomically.
-
-        The snapshot is written to a sibling temp file, fsynced, then
-        ``os.replace``d over the journal — a crash at any point leaves
-        either the old journal or the new one, never a torn mix.
-        """
-        if self._closed:
-            raise JournalError("journal is closed")
-        # Everything the snapshot summarizes must be durable first; a
-        # refused fsync aborts the compaction before any file is touched.
-        self.flush()
-        tmp_path = self.path + ".compact"
-        try:
-            with self.storage.open(tmp_path, "w") as tmp:
-                tmp.write(json.dumps(
-                    {"rec": "snapshot", "state": state.to_dict(),
-                     "segment": self.segment + 1},
-                    separators=(",", ":"),
-                ) + "\n")
-                self.storage.fsync(tmp)
-            self._file.close()
-            self.storage.replace(tmp_path, self.path)
-        except OSError:
-            # Failure anywhere leaves the old journal authoritative:
-            # drop the temp attempt, make sure the append handle is
-            # usable again, and surface the error un-counted (segment
-            # and record_count describe the file that still exists).
-            self.storage.remove(tmp_path)
-            if getattr(self._file, "closed", False):
-                self._file = self.storage.open(self.path, "a")
-            raise
-        self._file = self.storage.open(self.path, "a")
-        self._appends_since_compact = 0
-        self._unsynced = 0
-        self.compactions += 1
-        # Offsets taken against the old file are now meaningless:
-        # followers behind this point catch up via the snapshot path.
-        self.segment += 1
-        self.record_count = 1
-
-    def maybe_compact(self, state: JournalState) -> bool:
-        """Compact if the tail has grown past ``compact_every`` appends."""
-        if self.should_compact:
-            self.compact(state)
-            return True
-        return False
-
-    def rebuild(self, state: JournalState) -> None:
-        """Start a fresh fsync'd segment from ``state`` (degraded resume).
-
-        Unlike :meth:`compact`, the current journal tail is *not*
-        flushed first — after a storage outage the tail is known-stale
-        (appends were dropped while degraded) and the broken handle may
-        not even accept a flush. The in-memory ``state`` is the
-        authority; it is snapshotted to a temp file, fsynced, and
-        atomically swapped over the stale journal.
+        The one path that rewrites a journal: written to the ``.compact``
+        sibling, fsynced, then ``replace``d over the journal, so a crash
+        leaves the old file or the new one, never a torn mix. On failure
+        the old file stays authoritative (temp removed, handle usable,
+        error raised, position unchanged); on success the position comes
+        from the installed file's head record, as in the constructor.
         """
         if self._closed:
             raise JournalError("journal is closed")
         tmp_path = self.path + ".compact"
         try:
             with self.storage.open(tmp_path, "w") as tmp:
-                tmp.write(json.dumps(
-                    {"rec": "snapshot", "state": state.to_dict(),
-                     "segment": self.segment + 1},
-                    separators=(",", ":"),
-                ) + "\n")
+                for record in records:
+                    tmp.write(_line(record))
                 self.storage.fsync(tmp)
+            # After an outage the old handle may be dead; it is replaced.
             with contextlib.suppress(OSError, ValueError):
                 self._file.close()
             self.storage.replace(tmp_path, self.path)
@@ -372,9 +355,54 @@ class StateJournal:
         self._file = self.storage.open(self.path, "a")
         self._appends_since_compact = 0
         self._unsynced = 0
-        self.segment += 1
-        self.record_count = 1
+        # Offsets taken against the old file are now meaningless:
+        # followers behind this point catch up via the snapshot path.
+        self.segment, self.record_count = self._position(records)
+
+    def _snapshot(self, state: Any) -> list[dict[str, Any]]:
+        """The one-record file that starts the next segment from ``state``."""
+        return [{"rec": "snapshot", "state": state.to_dict(),
+                 "segment": self.segment + 1}]
+
+    @property
+    def should_compact(self) -> bool:
+        return self._appends_since_compact >= self.compact_every
+
+    def compact(self, state: Any) -> None:
+        """Rewrite the journal as one snapshot of ``state`` (``to_dict``).
+
+        Everything the snapshot summarizes must be durable first: a
+        refused flush aborts the compaction before any file is touched.
+        """
+        self.flush()
+        self.replace(self._snapshot(state))
+        self.compactions += 1
+
+    def maybe_compact(self, state: Any) -> bool:
+        """Compact if the tail has grown past ``compact_every`` appends."""
+        if self.should_compact:
+            self.compact(state)
+            return True
+        return False
+
+    def rebuild(self, state: Any) -> None:
+        """Start a fresh segment from ``state`` (degraded resume).
+
+        Unlike :meth:`compact`, the known-stale tail is *not* flushed
+        first: the broken handle may not even accept a flush, and the
+        in-memory ``state`` is the authority.
+        """
+        self.replace(self._snapshot(state))
         self.rebuilds += 1
+
+    def truncate(self, records: int) -> None:
+        """Cut the file back to its first ``records`` valid records.
+
+        Records appended behind a damaged one are invisible to replay (a
+        torn half-line even swallows the next append), so recovery cuts
+        the damage off before it writes. The segment number is kept.
+        """
+        self.replace(list(itertools.islice(self.read_records(self.path), records)))
 
     def close(self) -> None:
         if not self._closed:
@@ -385,6 +413,51 @@ class StateJournal:
             with contextlib.suppress(OSError, ValueError):
                 self._file.close()
             self._closed = True
+
+    # ------------------------------------------------------------------
+    # Shed-and-rebuild mode (graceful storage degradation)
+    # ------------------------------------------------------------------
+    def shed(self, write: Callable[..., object], *args: Any) -> bool:
+        """Run a write step (``append``, ``flush``, ``compact`` or a
+        sequence of them) for an owner whose memory is the authority.
+
+        A refusal (``OSError``, or ``ValueError`` from a handle a failed
+        swap closed) enters degraded mode instead of raising; while
+        degraded, steps are skipped. Either way the step is counted in
+        :attr:`dropped_records` and False returned; :meth:`resume` ends
+        the mode. :meth:`append` itself keeps raising, for writers that
+        must not acknowledge a failed write (a standby).
+        """
+        if not self.degraded:
+            try:
+                write(*args)
+                return True
+            except (OSError, ValueError) as exc:
+                self.degrade(exc)
+        self.dropped_records += 1
+        return False
+
+    def degrade(self, error: BaseException) -> bool:
+        """Enter degraded mode because of ``error``; True if newly entered."""
+        if self.degraded:
+            return False
+        self.degraded = True
+        self.degraded_reason = str(error) or type(error).__name__
+        return True
+
+    def resume(self, state: Any) -> bool:
+        """Leave degraded mode by rebuilding the file from ``state``.
+
+        The live ``state`` absorbed every step shed while degraded, so
+        one successful :meth:`rebuild` makes the journal whole again.
+        Returns False (still degraded) while storage keeps refusing.
+        """
+        try:
+            self.rebuild(state)
+        except OSError:
+            return False
+        self.degraded = False
+        return True
 
     # ------------------------------------------------------------------
     # Streaming replication (PROTOCOL.md §12)
@@ -408,24 +481,27 @@ class StateJournal:
             raise JournalError("journal is closed")
         self.flush()
         records = list(self.read_records(self.path))
-        if cursor.segment != self.segment or cursor.offset > len(records):
-            return StreamBatch(
-                records=records,
-                cursor=JournalCursor(self.segment, len(records)),
-                snapshot=True,
-            )
+        snapshot = cursor.segment != self.segment or cursor.offset > len(records)
         return StreamBatch(
-            records=records[cursor.offset:],
+            records=records if snapshot else records[cursor.offset:],
             cursor=JournalCursor(self.segment, len(records)),
-            snapshot=False,
+            snapshot=snapshot,
         )
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     @staticmethod
-    def read_records(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
-        """Yield valid records up to the first corrupt/truncated line."""
+    def _scan(path: str | os.PathLike[str],
+              result: ReplayResult) -> Iterator[dict[str, Any]]:
+        """The one journal reader: yield the valid prefix of ``path``.
+
+        Each record is folded into ``result.state`` (when there is one)
+        and counted before it is yielded. A line that fails to parse, a
+        snapshot whose segment (the cursor's base) is not a number, or a
+        record the fold rejects ends the prefix and marks ``result``
+        truncated.
+        """
         try:
             # A torn tail may hold arbitrary bytes; decode errors become
             # replacement characters, which fail JSON parsing and stop
@@ -442,41 +518,37 @@ class StateJournal:
                     continue
                 try:
                     record = json.loads(stripped)
-                except ValueError:
+                    if not isinstance(record, dict) or "rec" not in record:
+                        raise ValueError("not a journal record")
+                    if record["rec"] == "snapshot" and not isinstance(
+                        record.get("segment", 0), int
+                    ):
+                        raise ValueError("snapshot segment is not a number")
+                    if result.state is not None:
+                        result.state.apply(record)
+                except (KeyError, TypeError, ValueError):
+                    result.truncated = True
+                    result.bad_line = stripped[:120]
                     return
-                if not isinstance(record, dict) or "rec" not in record:
-                    return
+                result.records += 1
                 yield record
 
+    @staticmethod
+    def read_records(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
+        """Yield valid records up to the first corrupt/truncated line."""
+        return StateJournal._scan(path, ReplayResult(state=None))
+
     @classmethod
-    def replay(cls, path: str | os.PathLike[str]) -> ReplayResult:
-        """Fold snapshot + tail into a :class:`JournalState`.
+    def replay(cls, path: str | os.PathLike[str],
+               state: Any = None) -> ReplayResult:
+        """Fold snapshot + tail into ``state`` (a fresh :class:`JournalState`
+        by default; any object with ``apply(record)`` works).
 
         Stops at the first invalid line (longest-valid-prefix recovery);
         duplicate records fold idempotently, so an at-least-once writer
         is safe.
         """
-        state = JournalState()
-        result = ReplayResult(state=state)
-        try:
-            handle = open(
-                os.fspath(path), "r", encoding="utf-8", errors="replace"
-            )
-        except FileNotFoundError:
-            return result
-        with handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                    if not isinstance(record, dict) or "rec" not in record:
-                        raise ValueError("not a journal record")
-                except ValueError:
-                    result.truncated = True
-                    result.bad_line = stripped[:120]
-                    break
-                state.apply(record)
-                result.records += 1
+        result = ReplayResult(state=JournalState() if state is None else state)
+        for _ in cls._scan(path, result):
+            pass
         return result

@@ -131,17 +131,8 @@ class OpenBoxController:
         self.recovered_from: ReplayResult | None = None
         self.recovery_warnings: list[str] = []
         self.journal = journal
-        #: True while in journaled-read-only degraded mode: the journal
-        #: storage refused a write, so state-mutating southbound pushes
-        #: are fenced (OBIs keep forwarding on headless semantics) until
-        #: :meth:`try_resume_journal` rebuilds a fresh durable segment.
-        self.degraded = False
+        #: When the journal last entered degraded mode (see :attr:`degraded`).
         self.degraded_since = 0.0
-        #: Journal records shed while degraded (drop accounting; the
-        #: rebuilt segment snapshots live state, so nothing is lost).
-        self.journal_dropped_records = 0
-        #: Successful returns from degraded mode.
-        self.journal_resumes = 0
         #: Bounded audit of deploy rejections (obi_id, detail); the full
         #: count lives in :attr:`failed_deployments`.
         self.deploy_failures: collections.deque[tuple[str, str]] = collections.deque(
@@ -193,45 +184,55 @@ class OpenBoxController:
     # ------------------------------------------------------------------
     # Durable state (PROTOCOL.md §10)
     # ------------------------------------------------------------------
+    @property
+    def degraded(self) -> bool:
+        """Journaled-read-only mode: the journal storage refused a write,
+        so state-mutating southbound pushes are fenced (OBIs keep
+        forwarding on headless semantics) until :meth:`try_resume_journal`."""
+        return self.journal is not None and self.journal.degraded
+
+    @property
+    def journal_dropped_records(self) -> int:
+        return self.journal.dropped_records if self.journal is not None else 0
+
+    @property
+    def journal_resumes(self) -> int:
+        return self.journal.rebuilds if self.journal is not None else 0
+
     def _journal(self, record: dict[str, Any], flush: bool = False) -> None:
         """Append a record to the journal (no-op when not journaling).
 
         A storage failure (ENOSPC, EIO, a dead handle) does **not**
-        crash the control loop: the controller enters journaled-read-only
-        degraded mode — the record is shed (counted), deploys are fenced,
-        and a ``_controller`` alert fires. Nothing is ultimately lost:
-        :meth:`try_resume_journal` rebuilds the journal from live state
-        once storage heals.
+        crash the control loop: the journal sheds the record (counted)
+        and enters degraded mode (:meth:`StateJournal.shed`), deploys
+        are fenced, and a ``_controller`` alert fires. Nothing is
+        ultimately lost: :meth:`try_resume_journal` rebuilds the journal
+        from live state once storage heals.
         """
-        if self.journal is None:
+        journal = self.journal
+        if journal is None:
             return
-        if self.degraded:
-            self.journal_dropped_records += 1
-            return
-        try:
-            self.journal.append(record)
-            if flush:
-                self.journal.flush()
-            self.journal.maybe_compact(self._journal_state())
-        except (OSError, ValueError) as exc:
-            # ValueError covers writes through a handle a failed compact
-            # had to close; both mean the same thing — storage is gone.
-            self.journal_dropped_records += 1
-            self._enter_degraded(str(exc) or type(exc).__name__)
+        healthy = not journal.degraded
+        if not journal.shed(self._write_journal, record, flush) and healthy:
+            self._alert_degraded()
 
-    def _enter_degraded(self, detail: str) -> None:
-        """Shed to journaled-read-only mode and raise the operator alert."""
-        if self.degraded:
-            return
-        self.degraded = True
+    def _write_journal(self, record: dict[str, Any], flush: bool) -> None:
+        self.journal.append(record)
+        if flush:
+            self.journal.flush()
+        self.journal.maybe_compact(self._journal_state())
+
+    def _alert_degraded(self) -> None:
+        """Raise the operator alert for entering journaled-read-only mode."""
         self.degraded_since = self.clock()
         self._handle_alert(Alert(
             obi_id="",
             origin_app=self.CONTROLLER_ORIGIN,
             message=(
-                f"journal storage failed ({detail}); controller entering "
-                "journaled-read-only degraded mode — deploys fenced, OBIs "
-                "continue on headless semantics until storage heals"
+                f"journal storage failed ({self.journal.degraded_reason}); "
+                "controller entering journaled-read-only degraded mode — "
+                "deploys fenced, OBIs continue on headless semantics until "
+                "storage heals"
             ),
             severity="critical",
         ))
@@ -239,22 +240,15 @@ class OpenBoxController:
     def try_resume_journal(self) -> bool:
         """Attempt to leave degraded mode (called from the orchestrator).
 
-        One successful :meth:`StateJournal.rebuild` — a fresh fsync'd
+        One successful :meth:`StateJournal.resume` — a fresh fsync'd
         segment snapshotting the *live* controller state, which absorbed
         every record shed while degraded — makes the journal whole and
         lifts the deploy fence. Returns True when no longer degraded.
         """
         if not self.degraded:
             return True
-        if self.journal is None:
-            self.degraded = False
-            return True
-        try:
-            self.journal.rebuild(self._journal_state())
-        except OSError:
+        if not self.journal.resume(self._journal_state()):
             return False
-        self.degraded = False
-        self.journal_resumes += 1
         self._handle_alert(Alert(
             obi_id="",
             origin_app=self.CONTROLLER_ORIGIN,
@@ -336,10 +330,12 @@ class OpenBoxController:
             obi_id: dict(info) for obi_id, info in state.obis.items()
         }
         # Fence the new generation durably before any message goes out.
-        controller.journal = StateJournal(
+        journal = controller.journal = StateJournal(
             path, fsync_every=fsync_every, compact_every=compact_every,
             storage=storage,
         )
+        if replay.truncated and not journal.shed(journal.truncate, replay.records):
+            controller._alert_degraded()
         controller._journal(
             {"rec": "generation", "generation": controller.generation,
              "xid_high": xid_watermark()},

@@ -36,7 +36,6 @@ say so.
 from __future__ import annotations
 
 import collections
-import json
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -159,13 +158,15 @@ class ReplicationHub:
             if replica_id is not None and replica_id in self.replicas
             else list(self.replicas.values())
         )
+        journal = self.controller.journal
         for link in targets:
             try:
-                batch = self.controller.journal.read_since(link.cursor)
+                batch = journal.read_since(link.cursor)
             except OSError as exc:
                 # The leader's own disk refused the pre-stream flush:
                 # same condition _journal sheds on — degrade, stop.
-                self.controller._enter_degraded(str(exc))
+                if journal.degrade(exc):
+                    self.controller._alert_degraded()
                 return acked
             if not batch.records and not batch.snapshot:
                 acked.append(link.replica_id)  # already caught up
@@ -239,21 +240,22 @@ class StandbyController:
         self.path = os.fspath(journal_path)
         self.clock = clock
         self.storage = storage or LOCAL
-        # A crash mid-catch-up can leave the snapshot temp file behind;
-        # the replica journal itself is intact (the replace never
-        # happened), so the stale attempt is discarded.
-        self.storage.remove(self.path + ".catchup")
-        self.journal = StateJournal(
-            self.path, fsync_every=1, storage=self.storage
-        )
-        #: Highest leader epoch witnessed on the stream; the fence.
-        self.highest_epoch = 0
         # A replica journal inherited from a previous run already
         # encodes the epoch fence: restore it so a deposed leader
         # cannot stream to a freshly restarted standby.
         replayed = StateJournal.replay(self.path)
-        if replayed.records:
-            self.highest_epoch = replayed.state.generation
+        #: Replay diagnostics for the inherited replica journal.
+        self.recovered_from = replayed
+        self.journal = StateJournal(
+            self.path, fsync_every=1, storage=self.storage
+        )
+        if replayed.truncated:
+            # Streamed records appended behind a damaged one would be
+            # invisible to replay (and to take_over): cut the damage off
+            # so the cursor acked to the leader is what replay sees.
+            self.journal.truncate(replayed.records)
+        #: Highest leader epoch witnessed on the stream; the fence.
+        self.highest_epoch = replayed.state.generation
         self.leader_id = ""
         self.endpoints: list[str] = []
         self.records_applied = 0
@@ -278,34 +280,6 @@ class StandbyController:
         return self.journal.cursor()
 
     # ------------------------------------------------------------------
-    def _replace_journal(self, records: list[dict[str, Any]]) -> None:
-        """Snapshot catch-up: atomically replace the replica journal.
-
-        Failure anywhere leaves the old replica journal authoritative:
-        the temp attempt is removed, the journal handle reopened, and
-        the error propagates so the stream is *not* acked (the leader
-        retries the snapshot later).
-        """
-        self.journal.close()
-        tmp_path = self.path + ".catchup"
-        try:
-            with self.storage.open(tmp_path, "w") as tmp:
-                for record in records:
-                    tmp.write(
-                        json.dumps(record, separators=(",", ":")) + "\n"
-                    )
-                self.storage.fsync(tmp)
-            self.storage.replace(tmp_path, self.path)
-        except OSError:
-            self.storage.remove(tmp_path)
-            self.journal = StateJournal(
-                self.path, fsync_every=1, storage=self.storage
-            )
-            raise
-        self.journal = StateJournal(
-            self.path, fsync_every=1, storage=self.storage
-        )
-
     def _ack(self, xid: int) -> ReplicaAck:
         cursor = self.journal.cursor()
         return ReplicaAck(
@@ -370,7 +344,10 @@ class StandbyController:
         self.streams_received += 1
         try:
             if stream.snapshot:
-                self._replace_journal(stream.records)
+                # Snapshot catch-up: the leader's whole file replaces the
+                # replica atomically; a failure leaves the old replica
+                # authoritative and the stream un-acked (retried later).
+                self.journal.replace(stream.records)
                 self.snapshots_received += 1
             else:
                 for record in stream.records:

@@ -19,11 +19,11 @@ Four layers:
   transition flushes exactly one flow's cached decision, not the whole
   cache).
 * **Crash-safe checkpoints** (:class:`FlowStateCheckpointer`) — durable
-  state changes append delta records to an fsync-batched JSON-lines
-  journal (the exact format of :class:`repro.controller.journal.StateJournal`,
-  which is reused directly), periodically compacted into a snapshot
-  record. :func:`load_checkpoint` restores the longest valid prefix
-  after a crash, tolerating a torn tail.
+  state changes append delta records to a
+  :class:`repro.controller.journal.StateJournal`, periodically compacted
+  into a snapshot record. :func:`load_checkpoint` folds it with the
+  journal's one reader, restoring the longest valid prefix after a
+  crash.
 * **Generation fencing** — each restore bumps the table's
   ``state_generation``; handoff consumers reject checkpoints from a
   generation older than one already imported, so a ghost OBI's stale
@@ -32,7 +32,6 @@ Four layers:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -83,100 +82,72 @@ class FlowStatePolicy:
 
 @dataclass
 class CheckpointRestore:
-    """What :func:`load_checkpoint` reconstructed from a journal."""
+    """The fold of a flow-state journal: the surviving entry set.
 
-    #: Surviving flow entries (export_entries schema), post-fold.
-    entries: list[dict[str, Any]] = field(default_factory=list)
+    :func:`load_checkpoint` produces one by replaying the journal; the
+    checkpointer also compacts the live table into one (``to_dict`` is
+    the snapshot record's ``state``). ``flow`` records fold
+    idempotently (last write wins), ``flow_gone`` records delete, and
+    unknown kinds are skipped, not fatal: a newer OBI's journal replays
+    on an older one minus what it cannot understand.
+    """
+
     #: Highest state generation recorded in the journal.
     generation: int = 0
+    #: Surviving flow entries (export_entries schema) by canonical key.
+    by_key: dict[FiveTuple, dict[str, Any]] = field(default_factory=dict)
     #: Records folded (snapshot + deltas).
     records: int = 0
     #: True when the scan stopped at a corrupt/truncated line; the
     #: entries are the fold of the longest valid prefix.
     truncated: bool = False
 
+    @property
+    def entries(self) -> list[dict[str, Any]]:
+        return list(self.by_key.values())
 
-def _entry_key(entry: dict[str, Any]) -> tuple:
-    key = entry["key"]
-    return (
-        int(key["src_ip"]), int(key["dst_ip"]),
-        int(key["src_port"]), int(key["dst_port"]), int(key["proto"]),
-    )
+    def to_dict(self) -> dict[str, Any]:
+        return {"generation": self.generation, "entries": self.entries}
+
+    def apply(self, record: dict[str, Any]) -> None:
+        kind = record.get("rec")
+        if kind == "snapshot":
+            state = dict(record.get("state", {}))
+            by_key = {
+                FiveTuple.from_dict(entry["key"]): entry
+                for entry in state.get("entries", [])
+            }
+            generation = int(state.get("generation", 0))
+            self.by_key = by_key
+            self.generation = max(self.generation, generation)
+        elif kind == "flow":
+            entry = record["entry"]
+            self.by_key[FiveTuple.from_dict(entry["key"])] = entry
+        elif kind == "flow_gone":
+            self.by_key.pop(FiveTuple.from_dict(record["key"]), None)
+        elif kind == "state_generation":
+            self.generation = max(
+                self.generation, int(record.get("generation", 0))
+            )
 
 
 def load_checkpoint(path: str | os.PathLike[str]) -> CheckpointRestore:
     """Fold a flow-state journal into the surviving entry set.
 
-    Longest-valid-prefix semantics, mirroring
-    :meth:`repro.controller.journal.StateJournal.replay`: a torn tail
-    (half-written last line after SIGKILL) stops the fold; everything
-    before it is recovered. Duplicate ``flow`` records fold
-    idempotently (last write wins), ``flow_gone`` records delete.
+    :meth:`StateJournal.replay` semantics: a torn tail (half-written
+    last line after SIGKILL) or a record the fold rejects stops the
+    fold; everything before it is recovered.
     """
-    result = CheckpointRestore()
-    by_key: dict[tuple, dict[str, Any]] = {}
-    try:
-        handle = open(os.fspath(path), "r", encoding="utf-8", errors="replace")
-    except FileNotFoundError:
-        return result
-    with handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-                if not isinstance(record, dict) or "rec" not in record:
-                    raise ValueError("not a journal record")
-            except ValueError:
-                result.truncated = True
-                break
-            kind = record.get("rec")
-            try:
-                if kind == "snapshot":
-                    state = record.get("state", {})
-                    result.generation = max(
-                        result.generation, int(state.get("generation", 0))
-                    )
-                    by_key = {
-                        _entry_key(entry): entry
-                        for entry in state.get("entries", [])
-                    }
-                elif kind == "flow":
-                    entry = record["entry"]
-                    by_key[_entry_key(entry)] = entry
-                elif kind == "flow_gone":
-                    by_key.pop(_entry_key({"key": record["key"]}), None)
-                elif kind == "state_generation":
-                    result.generation = max(
-                        result.generation, int(record.get("generation", 0))
-                    )
-                # Unknown kinds are skipped, not fatal: a newer OBI's
-                # journal replays on an older one minus what it cannot
-                # understand.
-            except (KeyError, TypeError, ValueError):
-                result.truncated = True
-                break
-            result.records += 1
-    result.entries = list(by_key.values())
-    return result
-
-
-class _CheckpointImage:
-    """Duck-typed state for :meth:`StateJournal.compact` (``to_dict``)."""
-
-    def __init__(self, generation: int, entries: list[dict[str, Any]]) -> None:
-        self.generation = generation
-        self.entries = entries
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"generation": self.generation, "entries": self.entries}
+    replay = StateJournal.replay(path, CheckpointRestore())
+    restore = replay.state
+    restore.records, restore.truncated = replay.records, replay.truncated
+    return restore
 
 
 class FlowStateCheckpointer:
     """Crash-safe persistence for a :class:`FlowStateTable`.
 
-    Reuses :class:`~repro.controller.journal.StateJournal` wholesale:
+    A :class:`~repro.controller.journal.StateJournal` with flow records:
     durable state changes append ``{"rec": "flow", ...}`` delta records
     (fsync-batched), removals append ``flow_gone``, and after
     ``snapshot_every`` appends the whole table is compacted into one
@@ -189,15 +160,16 @@ class FlowStateCheckpointer:
     write rate proportional to real sessions, not attack packets.
 
     **Storage degradation**: persistence is an *enhancement* of the
-    in-memory table, never a dependency — when the disk starts refusing
-    writes (ENOSPC, EIO) the checkpointer sheds to in-memory-only
-    operation instead of letting an OSError reach the packet path.
-    Every shed record is counted (:attr:`dropped_records`), and every
-    ``resume_every`` sheds the disk is probed with a full-table
-    :meth:`StateJournal.rebuild`: on success the journal is a fresh
-    fsync'd snapshot of the *live* table (nothing dropped while
-    degraded is lost — the table itself is the authority) and delta
-    journaling resumes.
+    in-memory table, never a dependency — every write goes through the
+    journal's shed mode (:meth:`StateJournal.shed`), so when the disk
+    starts refusing writes (ENOSPC, EIO) the checkpointer sheds to
+    in-memory-only operation instead of letting an OSError reach the
+    packet path. Every shed record is counted (:attr:`dropped_records`),
+    and every ``resume_every`` sheds the disk is probed with
+    :meth:`StateJournal.resume`: on success the journal is a fresh
+    fsync'd snapshot of the *live* table (nothing dropped while degraded
+    is lost — the table itself is the authority) and delta journaling
+    resumes.
     """
 
     def __init__(
@@ -216,122 +188,83 @@ class FlowStateCheckpointer:
         #: never-journaled flows are skipped so flood-evicted embryonic
         #: entries cost no journal traffic on the way out either.
         self._journaled: set[FiveTuple] = set()
-        #: True while shedding to in-memory-only (storage refused a write).
-        self.degraded = False
-        #: Durable-state records shed while degraded (drop accounting).
-        self.dropped_records = 0
-        #: Successful returns from degraded mode (fresh rebuilt segment).
-        self.resumes = 0
         #: Probe the disk for recovery after this many sheds.
         self.resume_every = max(1, resume_every)
-        self._sheds_since_probe = 0
+        #: ``dropped_records`` at the last resume probe.
+        self._probed_at = 0
 
     @property
     def path(self) -> str:
         return self.journal.path
 
-    def _shed(self) -> None:
-        self.degraded = True
-        self.dropped_records += 1
-        self._sheds_since_probe += 1
+    @property
+    def degraded(self) -> bool:
+        """True while shedding to in-memory-only (storage refused a write)."""
+        return self.journal.degraded
+
+    @property
+    def dropped_records(self) -> int:
+        """Durable-state records shed while degraded (drop accounting)."""
+        return self.journal.dropped_records
+
+    @property
+    def resumes(self) -> int:
+        """Successful returns from degraded mode (fresh rebuilt segment)."""
+        return self.journal.rebuilds
 
     def record_entry(self, key: FiveTuple, entry: dict[str, Any]) -> None:
-        if self.degraded:
-            self._shed()
-            return
-        try:
-            self.journal.append({"rec": "flow", "entry": entry})
-        except OSError:
-            self._shed()
-            return
-        self._journaled.add(key)
+        if self.journal.shed(self.journal.append, {"rec": "flow", "entry": entry}):
+            self._journaled.add(key)
 
     def record_remove(self, key: FiveTuple) -> None:
-        if key not in self._journaled:
-            return
-        if self.degraded:
-            self._shed()
-            return
-        self._journaled.discard(key)
-        try:
-            self.journal.append({"rec": "flow_gone", "key": key.to_dict()})
-        except OSError:
-            self._shed()
+        if key in self._journaled and self.journal.shed(
+            self.journal.append, {"rec": "flow_gone", "key": key.to_dict()}
+        ):
+            self._journaled.discard(key)
 
     def record_generation(self, generation: int) -> None:
-        if self.degraded:
-            self._shed()
-            return
-        try:
-            self.journal.append(
-                {"rec": "state_generation", "generation": generation}
-            )
-            self.journal.flush()
-        except OSError:
-            self._shed()
+        journal = self.journal
+        if journal.shed(
+            journal.append, {"rec": "state_generation", "generation": generation}
+        ):
+            journal.shed(journal.flush)
 
-    def snapshot(
-        self, generation: int, entries: list[dict[str, Any]],
-        keys: set[FiveTuple],
-    ) -> None:
-        try:
-            self.journal.compact(_CheckpointImage(generation, entries))
-        except OSError:
-            self._shed()
-            return
-        self._journaled = set(keys)
+    def snapshot(self, image: CheckpointRestore) -> bool:
+        """Compact the journal to ``image`` (the live table's fold)."""
+        if not self.journal.shed(self.journal.compact, image):
+            return False
+        self._journaled = set(image.by_key)
+        return True
 
-    def maybe_snapshot(
-        self, generation: int,
-        image: Callable[[], tuple[list[dict[str, Any]], set[FiveTuple]]],
-    ) -> bool:
+    def maybe_snapshot(self, image: Callable[[], CheckpointRestore]) -> bool:
         """Compact when the delta tail has outgrown ``snapshot_every``.
 
         While degraded, doubles as the resume probe: every
         ``resume_every`` sheds, :meth:`try_resume` tests whether the
         storage has healed.
         """
-        if self.degraded:
-            if self._sheds_since_probe >= self.resume_every:
-                self._sheds_since_probe = 0
-                return self.try_resume(generation, image)
-            return False
-        if not self.journal.should_compact:
-            return False
-        entries, keys = image()
-        self.snapshot(generation, entries, keys)
-        return not self.degraded
+        journal = self.journal
+        if journal.degraded:
+            if journal.dropped_records - self._probed_at < self.resume_every:
+                return False
+            self._probed_at = journal.dropped_records
+            return self.try_resume(image)
+        return journal.should_compact and self.snapshot(image())
 
-    def try_resume(
-        self, generation: int,
-        image: Callable[[], tuple[list[dict[str, Any]], set[FiveTuple]]],
-    ) -> bool:
-        """Attempt to leave degraded mode with a fresh rebuilt segment.
-
-        The live table image is the authority — everything shed while
-        degraded is inside it — so one successful
-        :meth:`StateJournal.rebuild` makes the journal whole again.
-        """
-        if not self.degraded:
+    def try_resume(self, image: Callable[[], CheckpointRestore]) -> bool:
+        """Attempt to leave degraded mode with a fresh rebuilt segment
+        of the live table; True when no longer degraded."""
+        if not self.journal.degraded:
             return True
-        entries, keys = image()
-        try:
-            self.journal.rebuild(_CheckpointImage(generation, entries))
-        except OSError:
+        state = image()
+        if not self.journal.resume(state):
             return False
-        self._journaled = set(keys)
-        self.degraded = False
-        self._sheds_since_probe = 0
-        self.resumes += 1
+        self._journaled = set(state.by_key)
         return True
 
     def flush(self) -> None:
-        if self.degraded:
-            return
-        try:
-            self.journal.flush()
-        except OSError:
-            self.degraded = True
+        if not self.journal.degraded:
+            self.journal.shed(self.journal.flush)
 
     def close(self) -> None:
         self.journal.close()
@@ -594,9 +527,6 @@ class FlowStateTable(FlowTable):
     def remove(self, key: FiveTuple) -> Flow | None:
         return self._delete(self._key_for(key), "removed")
 
-    def _evict_oldest(self) -> None:  # pragma: no cover - superseded
-        self._evict_lru_unprotected("lru")
-
     # ------------------------------------------------------------------
     # Versioning, protection, durability
     # ------------------------------------------------------------------
@@ -622,7 +552,7 @@ class FlowStateTable(FlowTable):
                 self.protected_count = max(0, self.protected_count - 1)
         if durable and self.checkpoint is not None:
             self.checkpoint.record_entry(flow.key, self.export_entry(flow))
-            self.checkpoint.maybe_snapshot(self.state_generation, self._image)
+            self.checkpoint.maybe_snapshot(self._image)
         if self.on_state_change is not None:
             self.on_state_change(flow.key, reason)
         return flow.version
@@ -649,22 +579,20 @@ class FlowStateTable(FlowTable):
             entry["age"] = max(0.0, now - flow.last_seen)
         return entry
 
-    def _image(self) -> tuple[list[dict[str, Any]], set[FiveTuple]]:
-        """(entries, keys) of every *durable* flow, for a snapshot."""
-        entries: list[dict[str, Any]] = []
-        keys: set[FiveTuple] = set()
-        for flow in self._flows.values():
-            if flow.version > 0:
-                entries.append(self.export_entry(flow))
-                keys.add(flow.key)
-        return entries, keys
+    def _image(self) -> CheckpointRestore:
+        """The checkpoint fold of every *durable* flow, for a snapshot."""
+        return CheckpointRestore(
+            generation=self.state_generation,
+            by_key={
+                flow.key: self.export_entry(flow)
+                for flow in self._flows.values() if flow.version > 0
+            },
+        )
 
     def force_snapshot(self) -> None:
         """Compact the checkpoint journal to the current table state."""
-        if self.checkpoint is None:
-            return
-        entries, keys = self._image()
-        self.checkpoint.snapshot(self.state_generation, entries, keys)
+        if self.checkpoint is not None:
+            self.checkpoint.snapshot(self._image())
 
     def restore(self, result: CheckpointRestore, now: float) -> int:
         """Install a :func:`load_checkpoint` fold; returns entries kept.

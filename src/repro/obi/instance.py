@@ -117,9 +117,9 @@ class ObiConfig:
     #: them). On construction the OBI replays the journal's longest
     #: valid prefix, so durable session state survives a SIGKILL.
     state_checkpoint_path: str = ""
-    #: Journal fsync batching / snapshot compaction cadence (appends).
+    #: Journal fsync batching (appends); the checkpointer compacts to a
+    #: snapshot every 256 appends.
     state_checkpoint_fsync_every: int = 8
-    state_snapshot_every: int = 256
     #: How many recent per-packet traversal records to retain for the
     #: packet-history debugging facility (paper §6); 0 disables it.
     history_size: int = 256
@@ -190,7 +190,6 @@ class OpenBoxInstance:
             checkpointer = FlowStateCheckpointer(
                 config.state_checkpoint_path,
                 fsync_every=config.state_checkpoint_fsync_every,
-                snapshot_every=config.state_snapshot_every,
                 storage=state_storage,
             )
         self.session = SessionStorage(

@@ -12,7 +12,14 @@ import random
 
 import pytest
 
-from repro.controller.journal import JournalError, JournalState, StateJournal
+from repro.controller.journal import (
+    JournalCursor,
+    JournalError,
+    JournalState,
+    StateJournal,
+)
+from repro.controller.obc import OpenBoxController
+from repro.controller.replication import StandbyController
 
 
 def make_journal(tmp_path, **kwargs):
@@ -170,6 +177,98 @@ class TestTornTail:
             # replay stopped there; the prefix is always recovered.
             assert result.records >= len(sample_records()) - 1, trial
             assert result.state.apps["fw"] == {"priority": 1}
+
+
+class TestMidJournalBadRecord:
+    """A well-formed record with a bad field type ends the valid prefix
+    for every consumer of the journal, exactly like a torn line does."""
+
+    BAD = {"rec": "generation", "generation": "x"}
+
+    def write(self, tmp_path):
+        records = sample_records()
+        journal = make_journal(tmp_path, fsync_every=1)
+        for record in records[:3] + [self.BAD] + records[3:]:
+            journal.append(record)
+        journal.close()
+        return journal.path
+
+    def prefix_state(self):
+        state = JournalState()
+        for record in sample_records()[:3]:
+            state.apply(record)
+        return state
+
+    def test_replay_stops_at_the_bad_record(self, tmp_path):
+        result = StateJournal.replay(self.write(tmp_path))
+        assert result.truncated
+        assert result.records == 3
+        assert '"x"' in result.bad_line
+        assert result.state == self.prefix_state()
+
+    def test_recover_keeps_the_prefix(self, tmp_path):
+        controller = OpenBoxController.recover(self.write(tmp_path))
+        assert controller.recovered_from.truncated
+        assert controller.recovered_from.state == self.prefix_state()
+        assert controller.generation == 2
+        # The segment and OBI records came after the bad one.
+        assert controller.expected_obis == {}
+        assert any("corrupt" in w for w in controller.recovery_warnings)
+        controller.close()
+
+    def test_bad_snapshot_segment_ends_the_prefix(self, tmp_path):
+        # The segment is the replication cursor's base: a head snapshot
+        # whose segment is not a number must not crash the position scan.
+        path = tmp_path / "obc.journal"
+        path.write_text(
+            '{"rec":"snapshot","state":{"generation":3},"segment":"x"}\n'
+        )
+        assert StateJournal.replay(path).truncated
+        controller = OpenBoxController.recover(str(path))
+        assert controller.recovered_from.records == 0
+        assert controller.generation == 1
+        assert controller.journal.cursor() == JournalCursor(0, 1)
+        controller.close()
+
+    def test_standby_keeps_the_prefix(self, tmp_path):
+        standby = StandbyController("r1", self.write(tmp_path))
+        assert standby.recovered_from.truncated
+        assert standby.state() == self.prefix_state()
+        assert standby.highest_epoch == 1
+        # The damage is cut off: the acked cursor is what replay sees.
+        assert standby.cursor() == JournalCursor(0, 3)
+
+
+class TestAppendsAfterDamage:
+    """Records written after recovering a damaged journal must be
+    visible to the next replay (a torn half-line would otherwise
+    swallow the first of them)."""
+
+    def torn(self, tmp_path):
+        journal = make_journal(tmp_path, fsync_every=1)
+        for record in sample_records():
+            journal.append(record)
+        journal.close()
+        with open(journal.path, "ab") as handle:
+            handle.write(b'{"rec":"seg')
+        return journal.path
+
+    def test_generation_bump_survives_a_second_crash(self, tmp_path):
+        path = self.torn(tmp_path)
+        first = OpenBoxController.recover(path)
+        assert first.recovered_from.truncated
+        # SIGKILL again: the fencing bump of the first recovery must be
+        # durable, or two incarnations would share a generation.
+        second = OpenBoxController.recover(path)
+        assert not second.recovered_from.truncated
+        assert second.generation == first.generation + 1
+
+    def test_standby_deltas_land_behind_the_valid_prefix(self, tmp_path):
+        path = self.torn(tmp_path)
+        standby = StandbyController("r1", path)
+        assert standby.cursor() == JournalCursor(0, len(sample_records()))
+        standby.journal.append({"rec": "segment", "path": "dmz"})
+        assert standby.state().segments == ["corp", "dmz"]
 
 
 class TestDurabilityBatching:

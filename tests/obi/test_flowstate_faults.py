@@ -110,6 +110,18 @@ class TestResume:
         assert table.checkpoint.degraded
         assert table.checkpoint.resumes == 0
 
+    def test_probes_fire_once_per_resume_every_sheds(self, tmp_path):
+        storage, table = self.degrade(tmp_path, resume_every=3)
+        journal = table.checkpoint.journal
+        probes = []
+        resume = journal.resume
+        journal.resume = lambda state: probes.append(state) or resume(state)
+        for sport in range(3, 12):
+            durable_flow(table, sport=sport)  # the disk stays dead
+        assert table.checkpoint.dropped_records == 10
+        assert len(probes) == 3  # at the 3rd, 6th and 9th shed
+        assert table.checkpoint.degraded
+
     def test_rebuilt_journal_holds_everything_shed_while_degraded(
         self, tmp_path
     ):
@@ -140,9 +152,7 @@ class TestResume:
         storage = FaultyStorage()
         table = checkpointed_table(tmp_path, storage)
         durable_flow(table, sport=1)
-        assert table.checkpoint.try_resume(
-            table.state_generation, table._image
-        ) is True
+        assert table.checkpoint.try_resume(table._image) is True
         assert table.checkpoint.resumes == 0  # was never degraded
 
 
